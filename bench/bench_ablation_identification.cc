@@ -4,6 +4,7 @@
 // executable really talks to the cloud.
 #include <benchmark/benchmark.h>
 
+#include "analysis/valueflow/valueflow.h"
 #include "bench_util.h"
 
 namespace {
@@ -24,15 +25,23 @@ struct IdentStats {
   }
 };
 
+/// `devirtualize` picks the value-flow devirtualized call graph the pipeline
+/// uses; off, the graph has direct-call edges only.
 IdentStats evaluate(const core::ExecutableIdentifier::Options& options,
+                    bool devirtualize,
                     const std::vector<fw::FirmwareImage>& corpus) {
   const core::ExecutableIdentifier identifier(options);
   IdentStats stats;
   for (const fw::FirmwareImage& image : corpus) {
     for (const fw::FirmwareFile& file : image.files) {
       if (file.kind != fw::FirmwareFile::Kind::Executable) continue;
+      const ir::Program& program = *file.program;
+      const analysis::ValueFlow vf(program);
+      const analysis::CallGraph cg = devirtualize
+                                         ? analysis::CallGraph(program, vf)
+                                         : analysis::CallGraph(program);
       const bool truth = file.path == image.truth.device_cloud_executable;
-      const bool predicted = identifier.analyze(*file.program).is_device_cloud;
+      const bool predicted = identifier.analyze(program, cg).is_device_cloud;
       if (predicted && truth) ++stats.true_positives;
       if (predicted && !truth) ++stats.false_positives;
       if (!predicted && truth) ++stats.false_negatives;
@@ -52,8 +61,6 @@ void print_ablation() {
   core::ExecutableIdentifier::Options naive = full;
   naive.use_pf_scoring = false;
   naive.require_async = false;
-  core::ExecutableIdentifier::Options no_devirt = full;
-  no_devirt.devirtualize = false;
 
   std::printf("ABLATION: DEVICE-CLOUD EXECUTABLE IDENTIFICATION (§IV-A)\n");
   bench::print_rule();
@@ -63,15 +70,16 @@ void print_ablation() {
   const struct {
     const char* name;
     core::ExecutableIdentifier::Options options;
+    bool devirtualize;
   } configs[] = {
-      {"full (P_f + async filter)", full},
-      {"no async filter", no_async},
-      {"no P_f scoring", no_pf},
-      {"naive (any recv+send pair)", naive},
-      {"no devirtualization", no_devirt},
+      {"full (P_f + async filter)", full, true},
+      {"no async filter", no_async, true},
+      {"no P_f scoring", no_pf, true},
+      {"naive (any recv+send pair)", naive, true},
+      {"no devirtualization", full, false},
   };
-  for (const auto& [name, options] : configs) {
-    const IdentStats s = evaluate(options, corpus);
+  for (const auto& [name, options, devirtualize] : configs) {
+    const IdentStats s = evaluate(options, devirtualize, corpus);
     std::printf("%-34s %-6d %-6d %-6d %-10.3f %-8.3f\n", name,
                 s.true_positives, s.false_positives, s.false_negatives,
                 s.precision(), s.recall());
@@ -87,10 +95,13 @@ void print_ablation() {
 
 void BM_IdentifyExecutable(benchmark::State& state) {
   const auto image = fw::synthesize(fw::profile_by_id(14));
-  const auto* exec = image.file(image.truth.device_cloud_executable);
+  const ir::Program& program =
+      *image.file(image.truth.device_cloud_executable)->program;
+  const analysis::ValueFlow vf(program);
+  const analysis::CallGraph cg(program, vf);
   const core::ExecutableIdentifier identifier;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(identifier.analyze(*exec->program));
+    benchmark::DoNotOptimize(identifier.analyze(program, cg));
   }
 }
 BENCHMARK(BM_IdentifyExecutable);

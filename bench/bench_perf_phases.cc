@@ -12,6 +12,8 @@
 #include <memory>
 #include <string_view>
 
+#include "analysis/pointsto/pointsto.h"
+#include "analysis/valueflow/valueflow.h"
 #include "bench_util.h"
 #include "core/analysis_cache.h"
 #include "core/sdk_registry.h"
@@ -249,8 +251,13 @@ void BM_PhasePinpoint(benchmark::State& state) {
   const core::ExecutableIdentifier identifier;
   const auto execs = image.executables();
   for (auto _ : state) {
-    for (const ir::Program* p : execs)
-      benchmark::DoNotOptimize(identifier.analyze(*p));
+    // The pipeline's Phase 1: each executable's context solve, then §IV-A.
+    for (const ir::Program* p : execs) {
+      const analysis::pointsto::PointsTo pt(*p);
+      const analysis::ValueFlow vf(*p, nullptr, {.pointsto = &pt});
+      const analysis::CallGraph cg(*p, vf);
+      benchmark::DoNotOptimize(identifier.analyze(*p, cg));
+    }
   }
 }
 BENCHMARK(BM_PhasePinpoint);

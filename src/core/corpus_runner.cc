@@ -34,10 +34,9 @@ CorpusResult CorpusRunner::run(
   std::vector<CorpusTask> tasks;
   tasks.reserve(images.size());
   for (const fw::FirmwareImage* image : images) {
-    tasks.push_back(CorpusTask{
-        image->profile.id, [this, image](support::ThreadPool* pool) {
-          return pipeline_.analyze(*image, pool);
-        }});
+    tasks.push_back(CorpusTask{image->profile.id, [this, image] {
+                                 return pipeline_.analyze(*image);
+                               }});
   }
   return run_tasks(tasks);
 }
@@ -55,11 +54,10 @@ CorpusResult CorpusRunner::run_tasks(
   // stack, so a later retry cannot double-report the device.
   std::vector<std::optional<DeviceAnalysis>> analyses(tasks.size());
   std::vector<std::optional<DeviceFailure>> failures(tasks.size());
-  const auto run_one = [&](std::size_t i, support::ThreadPool* pool,
-                           int attempt) {
+  const auto run_one = [&](std::size_t i, int attempt) {
     FIRMRES_SPAN_DEVICE("corpus.device", "corpus", tasks[i].device_id);
     try {
-      analyses[i] = tasks[i].run(pool);
+      analyses[i] = tasks[i].run();
       failures[i].reset();
     } catch (const std::exception& e) {
       failures[i] = DeviceFailure{tasks[i].device_id, e.what(), attempt};
@@ -80,12 +78,11 @@ CorpusResult CorpusRunner::run_tasks(
                        ? static_cast<int>(support::ThreadPool::default_parallelism())
                        : options_.jobs;
   if (jobs <= 1 || tasks.size() <= 1) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) run_one(i, nullptr, 1);
+    for (std::size_t i = 0; i < tasks.size(); ++i) run_one(i, 1);
   } else {
     support::ThreadPool pool(static_cast<std::size_t>(jobs));
-    support::parallel_for(pool, tasks.size(), [&](std::size_t i) {
-      run_one(i, options_.parallel_programs ? &pool : nullptr, 1);
-    });
+    support::parallel_for(pool, tasks.size(),
+                          [&](std::size_t i) { run_one(i, 1); });
   }
 
   // Failure isolation retry: one sequential second attempt per failed
@@ -95,7 +92,7 @@ CorpusResult CorpusRunner::run_tasks(
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       if (!failures[i].has_value()) continue;
       g_device_retries.add();
-      run_one(i, nullptr, 2);
+      run_one(i, 2);
     }
   }
 

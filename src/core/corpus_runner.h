@@ -3,8 +3,8 @@
 // FIRMRES's evaluation (§V) runs the pipeline over a 23-device corpus;
 // per-image analysis is embarrassingly parallel. CorpusRunner fans
 // Pipeline::analyze out across firmware images on a work-stealing
-// ThreadPool — and, within one image, across device-cloud programs in
-// Phase 2 — then aggregates results in ascending device-id order
+// ThreadPool — each device task runs single-threaded on the thread that
+// picked it up — then aggregates results in ascending device-id order
 // regardless of completion order. The aggregated output is therefore
 // bit-identical for jobs=1 and jobs=N (per-device timings excepted; report
 // serialization can omit them, see report.h).
@@ -22,11 +22,10 @@
 
 namespace firmres::core {
 
-/// One unit of corpus work. `run` may throw; it receives the shared pool
-/// (nullptr when the run is sequential) for intra-image parallelism.
+/// One unit of corpus work. `run` may throw.
 struct CorpusTask {
   int device_id = 0;
-  std::function<DeviceAnalysis(support::ThreadPool*)> run;
+  std::function<DeviceAnalysis()> run;
 };
 
 /// A device whose analysis threw instead of completing.
@@ -60,8 +59,6 @@ class CorpusRunner {
     /// Worker threads; 1 runs inline on the calling thread (the exact
     /// sequential path), 0 means ThreadPool::default_parallelism().
     int jobs = 1;
-    /// Also fan Phase 2 out across device-cloud programs within one image.
-    bool parallel_programs = true;
     /// Re-run a failed device task once, sequentially, after the fan-out
     /// completes — resource-pressure failures under parallelism get a
     /// second chance while deterministic failures fail again and surface

@@ -6,7 +6,6 @@
 
 #include "analysis/forward_taint.h"
 #include "analysis/predicates.h"
-#include "analysis/valueflow/valueflow.h"
 #include "ir/library.h"
 #include "support/observability/metrics.h"
 #include "support/observability/trace.h"
@@ -70,19 +69,6 @@ std::vector<ir::VarNode> recv_seeds(const CallSite& site) {
 }
 
 }  // namespace
-
-ExecIdentification ExecutableIdentifier::analyze(
-    const ir::Program& program) const {
-  if (options_.devirtualize) {
-    analysis::ValueFlow::Options vf_options;
-    vf_options.substitutions = options_.substitutions;
-    const analysis::ValueFlow vf(program, nullptr, vf_options);
-    const CallGraph cg(program, vf);
-    return analyze(program, cg);
-  }
-  const CallGraph cg(program);
-  return analyze(program, cg);
-}
 
 ExecIdentification ExecutableIdentifier::analyze(
     const ir::Program& program, const analysis::CallGraph& cg) const {

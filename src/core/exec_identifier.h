@@ -14,14 +14,12 @@
 // is a device-cloud executable.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/call_graph.h"
-#include "analysis/valueflow/valueflow.h"
 #include "ir/program.h"
 
 namespace firmres::core {
@@ -62,17 +60,6 @@ class ExecutableIdentifier {
     /// Disable P_f scoring and accept any recv/send pair (ablation bench:
     /// the naive "has recv+send" heuristic).
     bool use_pf_scoring = true;
-    /// Build the call graph with value-flow devirtualization, so anchor
-    /// pairs connected only through resolved CallInd edges are still found
-    /// (docs/VALUEFLOW.md). Off = direct-call edges only (ablation bench).
-    /// Only affects the analyze(program) overload; the overload taking a
-    /// prebuilt CallGraph uses whatever graph it is given.
-    bool devirtualize = true;
-    /// Registry-matched substitutions threaded into the devirtualizing
-    /// value-flow solve (docs/COMPONENTS.md). Not owned; may cover
-    /// functions of other programs. analyze(program) overload only.
-    const std::map<const ir::Function*, analysis::ValueFlow::Substitution>*
-        substitutions = nullptr;
     /// Registry-certified branchless functions: no CBranch means no
     /// predicate operands, so their P_f is pinned to the exact 0.0 the
     /// scan would compute, skipping the forward-taint membership counts.
@@ -82,7 +69,9 @@ class ExecutableIdentifier {
   ExecutableIdentifier() : options_() {}
   explicit ExecutableIdentifier(Options options) : options_(options) {}
 
-  ExecIdentification analyze(const ir::Program& program) const;
+  /// Identify over a call graph of `program`. The pipeline passes its
+  /// value-flow devirtualized graph (docs/VALUEFLOW.md); a plain
+  /// CallGraph(program) gives the direct-edge-only ablation.
   ExecIdentification analyze(const ir::Program& program,
                              const analysis::CallGraph& call_graph) const;
 

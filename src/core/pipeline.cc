@@ -190,6 +190,29 @@ std::uint64_t callers_hash(const analysis::CallGraph& cg,
   return h.digest();
 }
 
+using Substitutions =
+    std::map<const ir::Function*, analysis::ValueFlow::Substitution>;
+
+/// One executable's analysis context, shared by §IV-A and §IV-B: the
+/// points-to memory def-use index (when enabled), the value-flow solution
+/// over it and the registry substitutions, and the call graph that solution
+/// devirtualizes. Built once per program.
+struct ProgramContext {
+  ProgramContext(const ir::Program& program, bool with_pointsto,
+                 const Substitutions* substitutions, support::ThreadPool* pool)
+      : pointsto(with_pointsto
+                     ? std::make_unique<analysis::pointsto::PointsTo>(program,
+                                                                      pool)
+                     : nullptr),
+        valueflow(program, pool,
+                  {.substitutions = substitutions, .pointsto = pointsto.get()}),
+        call_graph(program, valueflow) {}
+
+  std::unique_ptr<analysis::pointsto::PointsTo> pointsto;
+  analysis::ValueFlow valueflow;
+  analysis::CallGraph call_graph;
+};
+
 }  // namespace
 
 DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
@@ -222,12 +245,12 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
   // --- Component registry matching (docs/COMPONENTS.md) --------------------
   // Sequential, file order, so the inventory and "components" events are
   // deterministic at any jobs level. The products feed the later phases:
-  // certified substitutions skip per-function value-flow solves in Phases
-  // 1-2, branchless certification pins P_f contributions in Phase 1, and
-  // the matched-function labels tag taint provenance post-hoc — none of
-  // which changes any pre-existing report byte.
-  std::map<const ir::Function*, analysis::ValueFlow::Substitution>
-      registry_subs;
+  // certified substitutions skip per-function value-flow solves in each
+  // executable's context solve, branchless certification pins P_f
+  // contributions in Phase 1, and the matched-function labels tag taint
+  // provenance post-hoc — none of which changes any pre-existing report
+  // byte.
+  Substitutions registry_subs;
   std::set<const ir::Function*> registry_branchless;
   std::map<std::string, std::string> component_labels;  ///< fn name → label
   if (options_.registry != nullptr) {
@@ -298,29 +321,36 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
   }
 
   // --- Phase 1: pinpoint device-cloud executables (§IV-A) ------------------
+  // Each executable's analysis context is solved here, on `pool` when one is
+  // given, and a device-cloud program's context carries into Phase 2.
   AnalysisCache* cache = options_.cache;
+  const auto make_context = [&](const ir::Program& program) {
+    return std::make_unique<ProgramContext>(
+        program, options_.pointsto,
+        options_.registry != nullptr ? &registry_subs : nullptr, pool);
+  };
   std::vector<const ir::Program*> device_cloud;
   std::vector<std::uint64_t> program_hashes;  ///< parallel; cache path only
+  /// Parallel to device_cloud; null when the verdict came from the cache.
+  std::vector<std::unique_ptr<ProgramContext>> contexts;
   std::uint64_t executables_scanned = 0;
   {
     FIRMRES_SPAN_DEVICE("phase.pinpoint", "pipeline", image.profile.id);
     PhaseTimer timer(out.timings.pinpoint_s);
     // Registry products thread into the §IV-A solves; they change no
     // verdict (substitution is byte-identical), so ident cache keys need
-    // not cover them.
+    // not cover them. Points-to does shape the solve, so they cover it.
     ExecutableIdentifier::Options ident_options = options_.identifier;
-    if (options_.registry != nullptr) {
-      ident_options.substitutions = &registry_subs;
+    if (options_.registry != nullptr)
       ident_options.registry_branchless = &registry_branchless;
-    }
     const ExecutableIdentifier identifier(ident_options);
     std::uint64_t ident_salt = 0;
     if (cache != nullptr) {
-      support::Hasher h(0x6964656e745f7631ULL);  // "ident_v1"
+      support::Hasher h(0x6964656e745f7632ULL);  // "ident_v2"
       h.f64(options_.identifier.pf_threshold)
           .boolean(options_.identifier.require_async)
           .boolean(options_.identifier.use_pf_scoring)
-          .boolean(options_.identifier.devirtualize);
+          .boolean(options_.pointsto);
       ident_salt = h.digest();
     }
     for (const fw::FirmwareFile& file : image.files) {
@@ -328,27 +358,28 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
           file.program == nullptr)
         continue;
       ++executables_scanned;
-      bool is_device_cloud = false;
       std::uint64_t program_hash = 0;
+      std::uint64_t ident_key = 0;
+      std::optional<bool> is_device_cloud;
       if (cache != nullptr) {
         program_hash = AnalysisCache::hash_program_ir(*file.program);
-        const std::uint64_t key = support::Hasher(0x6964656e742e6b79ULL)
-                                      .u64(ident_salt)
-                                      .u64(program_hash)
-                                      .digest();
-        const std::optional<bool> hit = cache->lookup_ident(key);
-        if (hit.has_value()) {
-          is_device_cloud = *hit;
-        } else {
-          is_device_cloud = identifier.analyze(*file.program).is_device_cloud;
-          cache->store_ident(key, is_device_cloud);
-        }
-      } else {
-        is_device_cloud = identifier.analyze(*file.program).is_device_cloud;
+        ident_key = support::Hasher(0x6964656e742e6b79ULL)
+                        .u64(ident_salt)
+                        .u64(program_hash)
+                        .digest();
+        is_device_cloud = cache->lookup_ident(ident_key);
       }
-      if (is_device_cloud) {
+      std::unique_ptr<ProgramContext> context;
+      if (!is_device_cloud.has_value()) {
+        context = make_context(*file.program);
+        is_device_cloud = identifier.analyze(*file.program, context->call_graph)
+                              .is_device_cloud;
+        if (cache != nullptr) cache->store_ident(ident_key, *is_device_cloud);
+      }
+      if (*is_device_cloud) {
         device_cloud.push_back(file.program.get());
         program_hashes.push_back(program_hash);
+        contexts.push_back(std::move(context));
         if (out.device_cloud_executable.empty())
           out.device_cloud_executable = file.path;
       }
@@ -408,16 +439,16 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
   }
 
   // --- Phase 2: message-field identification via backward taint (§IV-B) ----
-  // Each device-cloud program's MFTs are independent; with a pool they are
-  // built concurrently, then concatenated in program order so the result is
-  // identical to the sequential loop. The per-program value-flow solution
-  // devirtualizes CallInd edges for the taint walks and stays alive through
-  // Phases 3/4 so slice generation can recover non-literal format operands.
+  // The taint walks run over the program's Phase-1 context: its value-flow
+  // solution devirtualizes CallInd edges for the walks and stays alive
+  // through Phases 3/4 so slice generation can recover non-literal format
+  // operands.
   //
   // With a cache, each program first tries its program-tier entry (a hit
-  // skips ValueFlow, taint, and reconstruction outright); on a miss the
-  // solve runs and each delivery-bearing *function* tries its fn-tier
-  // entry, validated against the live solve through the recorded deps.
+  // skips taint and reconstruction outright); on a miss each
+  // delivery-bearing *function* tries its fn-tier entry, validated against
+  // the live solve through the recorded deps. A miss after an ident-tier
+  // hit has no Phase-1 context, so it builds one here.
   struct FnGroup {
     const ir::Function* fn = nullptr;
     std::uint64_t key = 0;
@@ -433,8 +464,7 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
     int group = -1;                      ///< FnGroup index (cache path only)
   };
   struct ProgramWork {
-    std::unique_ptr<analysis::pointsto::PointsTo> pointsto;
-    std::unique_ptr<analysis::ValueFlow> valueflow;
+    std::unique_ptr<ProgramContext> context;  ///< null on a program-tier hit
     std::optional<CachedProgramAnalysis> cached;  ///< program-tier hit
     std::vector<SiteOutcome> sites;
     std::vector<FnGroup> groups;
@@ -445,7 +475,7 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
   {
     FIRMRES_SPAN_DEVICE("phase.fields", "pipeline", image.profile.id);
     PhaseTimer timer(out.timings.fields_s);
-    const auto build_program = [&](std::size_t i, support::ThreadPool* vp) {
+    for (std::size_t i = 0; i < device_cloud.size(); ++i) {
       const ir::Program& program = *device_cloud[i];
       ProgramWork& work = per_program[i];
       if (cache != nullptr) {
@@ -457,22 +487,18 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
             cache->lookup_program(work.program_key);
         if (hit.has_value()) {
           work.cached = std::move(*hit);
-          return;
+          contexts[i].reset();
+          continue;
         }
       }
-      std::unique_ptr<analysis::pointsto::PointsTo> pt;
-      if (options_.pointsto)
-        pt = std::make_unique<analysis::pointsto::PointsTo>(program, vp);
-      analysis::ValueFlow::Options vf_options;
-      if (options_.registry != nullptr)
-        vf_options.substitutions = &registry_subs;
-      vf_options.pointsto = pt.get();
-      auto vf =
-          std::make_unique<analysis::ValueFlow>(program, vp, vf_options);
-      const analysis::CallGraph cg(program, *vf);
-      const MftBuilder builder(program, cg, options_.taint, pt.get());
+      work.context = contexts[i] != nullptr ? std::move(contexts[i])
+                                            : make_context(program);
+      const analysis::pointsto::PointsTo* pt = work.context->pointsto.get();
+      const analysis::ValueFlow& vf = work.context->valueflow;
+      const analysis::CallGraph& cg = work.context->call_graph;
+      const MftBuilder builder(program, cg, options_.taint, pt);
 
-      const analysis::ValueFlow::Stats stats = vf->stats();
+      const analysis::ValueFlow::Stats stats = vf.stats();
       work.fresh.indirect_total = stats.indirect_total;
       work.fresh.indirect_resolved = stats.indirect_resolved;
       if (pt != nullptr) {
@@ -484,7 +510,7 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
         work.fresh.pt_stores_never_loaded = pt_stats.stores_never_loaded;
       }
       for (const analysis::ValueFlow::IndirectSite& site :
-           vf->indirect_sites()) {
+           vf.indirect_sites()) {
         if (site.target == nullptr) continue;
         work.fresh.devirt_sites.push_back(CachedProgramAnalysis::DevirtSite{
             site.caller->name(), site.target->name(), site.op->address,
@@ -509,8 +535,7 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
           s.mft = builder.build(site);
           work.sites.push_back(std::move(s));
         }
-        work.valueflow = std::move(vf);
-        return;
+        continue;
       }
 
       const std::uint64_t fn_salt =
@@ -545,7 +570,7 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
         if (dep_fn == nullptr) return false;
         if (AnalysisCache::hash_function_ir(*dep_fn) != dep.ir_hash)
           return false;
-        if (vf->function_signature(dep_fn) != dep.vf_sig) return false;
+        if (vf.function_signature(dep_fn) != dep.vf_sig) return false;
         if (callers_hash(cg, dep.fn) != dep.callers_hash) return false;
         if ((pt != nullptr ? pt->function_signature(dep_fn) : 0) !=
             dep.pt_sig)
@@ -591,21 +616,10 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
           if (dep_fn == nullptr) continue;
           group.deps.push_back(CachedFunctionEntry::Dep{
               name, AnalysisCache::hash_function_ir(*dep_fn),
-              vf->function_signature(dep_fn), callers_hash(cg, name),
+              vf.function_signature(dep_fn), callers_hash(cg, name),
               pt != nullptr ? pt->function_signature(dep_fn) : 0});
         }
       }
-      work.pointsto = std::move(pt);
-      work.valueflow = std::move(vf);
-    };
-    if (pool != nullptr && device_cloud.size() > 1) {
-      // Workers solve their program's value flow sequentially — the outer
-      // fan-out already saturates the pool.
-      support::parallel_for(*pool, device_cloud.size(),
-                            [&](std::size_t i) { build_program(i, nullptr); });
-    } else {
-      for (std::size_t i = 0; i < device_cloud.size(); ++i)
-        build_program(i, pool);
     }
     for (const ProgramWork& work : per_program) {
       const CachedProgramAnalysis* summary =
@@ -683,7 +697,7 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
         {
           PhaseTimer timer(out.timings.semantics_s);
           m.message = reconstructor.reconstruct_one(
-              *s.mft, out.device_cloud_executable, work.valueflow.get(),
+              *s.mft, out.device_cloud_executable, &work.context->valueflow,
               &m.decision);
         }
         m.mft_nodes = s.mft->node_count();

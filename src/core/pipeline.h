@@ -24,8 +24,13 @@ namespace firmres::core {
 class AnalysisCache;
 
 struct PhaseTimings {
-  double pinpoint_s = 0.0;   ///< device-cloud executable identification
-  double fields_s = 0.0;     ///< taint analysis / MFT construction
+  /// Device-cloud executable identification, including each executable's
+  /// context solve (points-to, value flow, call graph) and, with a
+  /// registry, component matching.
+  double pinpoint_s = 0.0;
+  /// Taint analysis / MFT construction over the Phase-1 contexts (plus a
+  /// context solve for a program whose verdict came from the cache).
+  double fields_s = 0.0;
   double semantics_s = 0.0;  ///< slice classification
   double concat_s = 0.0;     ///< grouping, ordering, format inference
   double check_s = 0.0;      ///< message form check
@@ -122,16 +127,12 @@ class Pipeline {
   Pipeline(const SemanticsModel& model, Options options)
       : model_(model), options_(options) {}
 
-  DeviceAnalysis analyze(const fw::FirmwareImage& image) const {
-    return analyze(image, nullptr);
-  }
-
-  /// As above, but Phase 2 (MFT construction) fans out across the image's
-  /// device-cloud programs on `pool` when one is given. Results are
-  /// aggregated in program order, so the analysis is bit-identical to the
-  /// sequential path (timings aside).
+  /// Analyze one image. With a `pool`, the lint gate and each
+  /// executable's points-to and value-flow solves parallelize their
+  /// per-function work on it. The solves are identical by construction, so
+  /// the analysis is bit-identical to the sequential path (timings aside).
   DeviceAnalysis analyze(const fw::FirmwareImage& image,
-                         support::ThreadPool* pool) const;
+                         support::ThreadPool* pool = nullptr) const;
 
  private:
   const SemanticsModel& model_;

@@ -175,9 +175,8 @@ int ServeSession::run(std::istream& in, std::ostream& out) {
       // directory becomes a DeviceFailure with CorpusRunner's one-retry
       // isolation, exactly like a throwing analysis.
       tasks.push_back(CorpusTask{
-          static_cast<int>(i), [this, dir](support::ThreadPool* pool) {
-            const fw::FirmwareImage image = fw::load_image(dir);
-            return pipeline_.analyze(image, pool);
+          static_cast<int>(i), [this, dir] {
+            return pipeline_.analyze(fw::load_image(dir));
           }});
     }
     CorpusRunner::Options runner_options;

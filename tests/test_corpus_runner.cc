@@ -9,10 +9,12 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/report.h"
 #include "firmware/synthesizer.h"
+#include "support/observability/metrics.h"
 
 namespace firmres::core {
 namespace {
@@ -37,6 +39,14 @@ std::string serialize_reports(const CorpusResult& result) {
     out += '\n';
   }
   return out;
+}
+
+std::uint64_t counter_value(const support::metrics::Snapshot& snap,
+                            std::string_view name) {
+  for (const auto& c : snap.counters)
+    if (c.name == name) return c.value;
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
 }
 
 TEST(CorpusRunner, ParallelRunsAreByteIdenticalToSequential) {
@@ -119,6 +129,45 @@ TEST(CorpusRunner, EmptyCorpusYieldsEmptyResult) {
   EXPECT_EQ(result.aggregate.total_s(), 0.0);
 }
 
+TEST(CorpusRunner, OneContextSolvePerProgramAndNoNestedPoolWork) {
+  // Table I plus the memory-staging corpus, uncached and registry-less.
+  std::vector<fw::FirmwareImage> corpus = fw::synthesize_corpus();
+  for (fw::FirmwareImage& image : fw::synthesize_memory_corpus())
+    corpus.push_back(std::move(image));
+  const Pipeline pipeline(kModel);
+  const CorpusRunner runner(pipeline, {.jobs = 4});
+
+  const support::metrics::Snapshot before = support::metrics::snapshot();
+  const CorpusResult result = runner.run(corpus);
+  const support::metrics::Snapshot delta =
+      support::metrics::snapshot().delta(before);
+  ASSERT_TRUE(result.failures.empty());
+
+  // Every executable is solved exactly once, in §IV-A; §IV-B reuses the
+  // device-cloud programs' contexts instead of solving them again.
+  const std::uint64_t programs =
+      counter_value(delta, "identify.programs_analyzed");
+  EXPECT_GT(programs, 0u);
+  EXPECT_EQ(counter_value(delta, "valueflow.solves"), programs);
+  EXPECT_EQ(counter_value(delta, "pointsto.solves"), programs);
+  // A device task runs single-threaded: the fan-out's one task per device
+  // is the only pool work, so no device runs on another device's stack.
+  EXPECT_EQ(counter_value(delta, "pool.tasks_executed"), corpus.size());
+}
+
+TEST(CorpusRunner, CpuTimeReconcilesWithWallClock) {
+  // A device's CPU time is its own thread's, and at most `jobs` workers plus
+  // the parallel_for caller run device tasks at once.
+  const std::vector<fw::FirmwareImage> corpus = fw::synthesize_corpus();
+  const Pipeline pipeline(kModel);
+  for (const int jobs : {2, 4}) {
+    const CorpusResult result =
+        CorpusRunner(pipeline, {.jobs = jobs}).run(corpus);
+    EXPECT_GT(result.cpu_s, 0.0) << "jobs=" << jobs;
+    EXPECT_LE(result.cpu_s, (jobs + 1) * result.wall_s) << "jobs=" << jobs;
+  }
+}
+
 /// A task that burns "CPU" into a DeviceAnalysis and then throws on the
 /// first attempt, succeeding on the second. Regression guard for the retry
 /// attribution bug: the failed attempt's timings must be discarded with the
@@ -127,7 +176,7 @@ CorpusTask flaky_task(int device_id, std::atomic<int>& attempts,
                       double attempt1_cpu_s, double attempt2_cpu_s) {
   return CorpusTask{
       device_id, [&attempts, device_id, attempt1_cpu_s,
-                  attempt2_cpu_s](support::ThreadPool*) {
+                  attempt2_cpu_s] {
         const int attempt = attempts.fetch_add(1) + 1;
         DeviceAnalysis analysis;
         analysis.device_id = device_id;
@@ -147,7 +196,7 @@ TEST(CorpusRunner, RetriedDeviceReportsExactlyOneAttempt) {
   std::vector<CorpusTask> tasks;
   tasks.push_back(flaky_task(7, attempts, /*attempt1_cpu_s=*/100.0,
                              /*attempt2_cpu_s=*/2.0));
-  tasks.push_back(CorpusTask{3, [](support::ThreadPool*) {
+  tasks.push_back(CorpusTask{3, [] {
                                DeviceAnalysis a;
                                a.device_id = 3;
                                a.timings.pinpoint_s = 1.0;
@@ -176,7 +225,7 @@ TEST(CorpusRunner, TwiceFailedDeviceRecordsTwoAttempts) {
   const Pipeline pipeline(kModel);
   std::atomic<int> calls{0};
   std::vector<CorpusTask> tasks;
-  tasks.push_back(CorpusTask{5, [&calls](support::ThreadPool*) {
+  tasks.push_back(CorpusTask{5, [&calls] {
                                calls.fetch_add(1);
                                throw std::runtime_error("deterministic bug");
                                return DeviceAnalysis{};  // unreachable
@@ -197,7 +246,7 @@ TEST(CorpusRunner, RetryDisabledFailsAfterOneAttempt) {
   const Pipeline pipeline(kModel);
   std::atomic<int> calls{0};
   std::vector<CorpusTask> tasks;
-  tasks.push_back(CorpusTask{9, [&calls](support::ThreadPool*) {
+  tasks.push_back(CorpusTask{9, [&calls] {
                                calls.fetch_add(1);
                                throw std::runtime_error("boom");
                                return DeviceAnalysis{};  // unreachable
@@ -210,28 +259,6 @@ TEST(CorpusRunner, RetryDisabledFailsAfterOneAttempt) {
   EXPECT_EQ(calls.load(), 1);
   ASSERT_EQ(result.failures.size(), 1u);
   EXPECT_EQ(result.failures[0].attempts, 1);
-}
-
-TEST(CorpusRunner, RunTasksPassesSharedPoolWhenParallel) {
-  const Pipeline pipeline(kModel);
-  std::vector<CorpusTask> tasks;
-  std::atomic<int> pools_seen{0};
-  for (const int id : {1, 2}) {
-    tasks.push_back(CorpusTask{id, [&pools_seen](support::ThreadPool* pool) {
-                                 if (pool != nullptr) pools_seen.fetch_add(1);
-                                 return DeviceAnalysis{};
-                               }});
-  }
-  CorpusRunner::Options options;
-  options.jobs = 2;
-  EXPECT_EQ(CorpusRunner(pipeline, options).run_tasks(tasks).analyses.size(),
-            2u);
-  EXPECT_EQ(pools_seen.load(), 2);
-
-  pools_seen = 0;
-  options.parallel_programs = false;
-  CorpusRunner(pipeline, options).run_tasks(tasks);
-  EXPECT_EQ(pools_seen.load(), 0);
 }
 
 }  // namespace

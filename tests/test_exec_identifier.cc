@@ -5,10 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/valueflow/valueflow.h"
 #include "ir/builder.h"
 
 namespace firmres::core {
 namespace {
+
+/// §IV-A over the program's devirtualized call graph, as the pipeline
+/// runs it.
+ExecIdentification identify(const ir::Program& prog,
+                            ExecutableIdentifier::Options options = {}) {
+  const analysis::ValueFlow vf(prog);
+  const analysis::CallGraph cg(prog, vf);
+  return ExecutableIdentifier(options).analyze(prog, cg);
+}
 
 /// Emit `n` predicates comparing request-derived bytes against constants.
 void emit_request_predicates(ir::FunctionBuilder& f, const ir::VarNode& buf,
@@ -75,7 +85,7 @@ ir::Program make_program(int request_preds, int local_preds, bool async) {
 
 TEST(ExecIdentifier, AsyncHighPfIsDeviceCloud) {
   const ir::Program prog = make_program(8, 1, /*async=*/true);
-  const ExecIdentification id = ExecutableIdentifier().analyze(prog);
+  const ExecIdentification id = identify(prog);
   ASSERT_EQ(id.candidates.size(), 1u);
   EXPECT_TRUE(id.candidates[0].is_request_handler);
   EXPECT_TRUE(id.candidates[0].asynchronous);
@@ -86,7 +96,7 @@ TEST(ExecIdentifier, AsyncHighPfIsDeviceCloud) {
 TEST(ExecIdentifier, SyncHandlerRejected) {
   // The Fig. 4 pair-1 case: high P_f but directly invoked (a LAN httpd).
   const ir::Program prog = make_program(8, 1, /*async=*/false);
-  const ExecIdentification id = ExecutableIdentifier().analyze(prog);
+  const ExecIdentification id = identify(prog);
   ASSERT_EQ(id.candidates.size(), 1u);
   EXPECT_TRUE(id.candidates[0].is_request_handler);
   EXPECT_FALSE(id.candidates[0].asynchronous);
@@ -96,7 +106,7 @@ TEST(ExecIdentifier, SyncHandlerRejected) {
 TEST(ExecIdentifier, LowPfRejected) {
   // The IPC-daemon case: async dispatch but predicates inspect local state.
   const ir::Program prog = make_program(1, 9, /*async=*/true);
-  const ExecIdentification id = ExecutableIdentifier().analyze(prog);
+  const ExecIdentification id = identify(prog);
   ASSERT_EQ(id.candidates.size(), 1u);
   EXPECT_TRUE(id.candidates[0].asynchronous);
   EXPECT_FALSE(id.candidates[0].is_request_handler);
@@ -109,7 +119,7 @@ TEST(ExecIdentifier, NoAnchorsNoCandidates) {
   ir::FunctionBuilder f = b.function("main");
   f.callv("printf", {f.cstr("hello")});
   f.ret(f.cnum(0));
-  const ExecIdentification id = ExecutableIdentifier().analyze(prog);
+  const ExecIdentification id = identify(prog);
   EXPECT_TRUE(id.candidates.empty());
   EXPECT_FALSE(id.is_device_cloud);
 }
@@ -117,8 +127,8 @@ TEST(ExecIdentifier, NoAnchorsNoCandidates) {
 TEST(ExecIdentifier, ScoreReflectsParsingDensity) {
   const ir::Program dense = make_program(9, 0, true);
   const ir::Program sparse = make_program(1, 9, true);
-  const auto id_dense = ExecutableIdentifier().analyze(dense);
-  const auto id_sparse = ExecutableIdentifier().analyze(sparse);
+  const auto id_dense = identify(dense);
+  const auto id_sparse = identify(sparse);
   ASSERT_EQ(id_dense.candidates.size(), 1u);
   ASSERT_EQ(id_sparse.candidates.size(), 1u);
   EXPECT_GT(id_dense.candidates[0].score, id_sparse.candidates[0].score);
@@ -126,7 +136,7 @@ TEST(ExecIdentifier, ScoreReflectsParsingDensity) {
 
 TEST(ExecIdentifier, ParserFunctionIdentified) {
   const ir::Program prog = make_program(6, 0, true);
-  const auto id = ExecutableIdentifier().analyze(prog);
+  const auto id = identify(prog);
   ASSERT_EQ(id.candidates.size(), 1u);
   ASSERT_NE(id.candidates[0].parser, nullptr);
   EXPECT_EQ(id.candidates[0].parser->name(), "handler");
@@ -157,7 +167,7 @@ TEST(ExecIdentifier, SequenceIncludesCalleeHelpers) {
     f.callv("event_loop_register", {f.local("loop"), f.func_addr("handler")});
     f.ret(f.cnum(0));
   }
-  const auto id = ExecutableIdentifier().analyze(prog);
+  const auto id = identify(prog);
   ASSERT_EQ(id.candidates.size(), 1u);
   EXPECT_TRUE(id.is_device_cloud);
   ASSERT_NE(id.candidates[0].parser, nullptr);
@@ -170,7 +180,7 @@ TEST(ExecIdentifierAblation, NaiveModeAcceptsIpcDaemons) {
   const ir::Program ipc = make_program(1, 9, /*async=*/true);
   ExecutableIdentifier::Options opts;
   opts.use_pf_scoring = false;
-  const auto id = ExecutableIdentifier(opts).analyze(ipc);
+  const auto id = identify(ipc, opts);
   EXPECT_TRUE(id.is_device_cloud);  // false positive by design
 }
 
@@ -178,7 +188,7 @@ TEST(ExecIdentifierAblation, NoAsyncFilterAcceptsLanServers) {
   const ir::Program httpd = make_program(8, 1, /*async=*/false);
   ExecutableIdentifier::Options opts;
   opts.require_async = false;
-  const auto id = ExecutableIdentifier(opts).analyze(httpd);
+  const auto id = identify(httpd, opts);
   EXPECT_TRUE(id.is_device_cloud);  // false positive by design
 }
 
@@ -188,7 +198,7 @@ TEST_P(PfThreshold, MonotoneInThreshold) {
   const ir::Program prog = make_program(5, 5, /*async=*/true);
   ExecutableIdentifier::Options opts;
   opts.pf_threshold = GetParam();
-  const auto id = ExecutableIdentifier(opts).analyze(prog);
+  const auto id = identify(prog, opts);
   ASSERT_EQ(id.candidates.size(), 1u);
   EXPECT_EQ(id.candidates[0].is_request_handler,
             id.candidates[0].score >= GetParam());

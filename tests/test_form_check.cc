@@ -28,6 +28,16 @@ struct FormCase {
   bool satisfies;
 };
 
+// Without this gtest prints a FormCase as its raw bytes, which hold the
+// vector's heap pointers and so make the test names differ per process.
+void PrintTo(const FormCase& c, std::ostream* os) {
+  *os << '{';
+  for (std::size_t i = 0; i < c.primitives.size(); ++i) {
+    *os << (i ? ", " : "") << fw::primitive_name(c.primitives[i]);
+  }
+  *os << "} " << (c.satisfies ? "valid" : "invalid");
+}
+
 class FormComposition : public ::testing::TestWithParam<FormCase> {};
 
 TEST_P(FormComposition, MatchesSection2B) {

@@ -469,11 +469,15 @@ TEST(PointsToCache, PassToggleDoesNotCrossContaminateTheStore) {
   TempDir dir;
   core::AnalysisCache cache({.dir = dir.str()});
   // Seed the store with the pass on, then run with it off against the SAME
-  // directory: the analysis salt separates the modes, so the off-run must
-  // match its uncached reference instead of replaying pointsto results.
+  // directory: the ident and analysis salts separate the modes, so the
+  // off-run must match its uncached reference instead of replaying
+  // pointsto results — §IV-A verdicts included, since they are computed on
+  // the points-to-aware call graph.
   (void)analyze_one(image, &cache, true);
   const std::string reference_off = analyze_one(image, nullptr, false);
+  const std::uint64_t ident_hits_before = cache.stats().ident_hits;
   EXPECT_EQ(analyze_one(image, &cache, false), reference_off);
+  EXPECT_EQ(cache.stats().ident_hits, ident_hits_before);
   // And the on-mode entries still serve byte-identically afterwards.
   const std::string reference_on = analyze_one(image, nullptr, true);
   EXPECT_EQ(analyze_one(image, &cache, true), reference_on);

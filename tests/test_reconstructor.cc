@@ -102,8 +102,10 @@ TEST(Reconstructor, LanDestinationDiscarded) {
   EXPECT_EQ(result.discarded_lan, 0);
 }
 
-class LanAddress
-    : public ::testing::TestWithParam<std::pair<const char*, bool>> {};
+// std::string, not const char*: gtest prints a char pointer inside a pair
+// with its address, which would make the test names differ per process.
+using LanCase = std::pair<std::string, bool>;
+class LanAddress : public ::testing::TestWithParam<LanCase> {};
 
 TEST_P(LanAddress, Classification) {
   const auto [text, is_lan] = GetParam();
@@ -113,23 +115,23 @@ TEST_P(LanAddress, Classification) {
 INSTANTIATE_TEST_SUITE_P(
     Table, LanAddress,
     ::testing::Values(
-        std::make_pair("10.0.0.1", true),
-        std::make_pair("10.255.255.255", true),
-        std::make_pair("172.16.0.1", true),
-        std::make_pair("172.31.4.4", true),
-        std::make_pair("172.15.0.1", false),   // below private range
-        std::make_pair("172.32.0.1", false),   // above private range
-        std::make_pair("192.168.4.20", true),
-        std::make_pair("192.169.1.1", false),
-        std::make_pair("224.0.0.1", true),     // multicast
-        std::make_pair("239.255.255.250", true),
-        std::make_pair("255.255.255.255", true),  // broadcast
-        std::make_pair("FE80::1", true),       // IPv6 link-local
-        std::make_pair("fe80::abcd", true),
-        std::make_pair("8.8.8.8", false),
-        std::make_pair("iot.vendor-cloud.example.com", false),
-        std::make_pair("a01.04.05.0020", false),  // not a dotted quad
-        std::make_pair("", false)));
+        LanCase{"10.0.0.1", true},
+        LanCase{"10.255.255.255", true},
+        LanCase{"172.16.0.1", true},
+        LanCase{"172.31.4.4", true},
+        LanCase{"172.15.0.1", false},   // below private range
+        LanCase{"172.32.0.1", false},   // above private range
+        LanCase{"192.168.4.20", true},
+        LanCase{"192.169.1.1", false},
+        LanCase{"224.0.0.1", true},     // multicast
+        LanCase{"239.255.255.250", true},
+        LanCase{"255.255.255.255", true},  // broadcast
+        LanCase{"FE80::1", true},       // IPv6 link-local
+        LanCase{"fe80::abcd", true},
+        LanCase{"8.8.8.8", false},
+        LanCase{"iot.vendor-cloud.example.com", false},
+        LanCase{"a01.04.05.0020", false},  // not a dotted quad
+        LanCase{"", false}));
 
 TEST(Reconstructor, KeyValueConcatMessage) {
   ir::Program prog("p");

@@ -181,11 +181,10 @@ TEST(Robustness, CorpusRunnerIsolatesThrowingDevices) {
   std::vector<core::CorpusTask> tasks;
   for (const int id : {1, 3, 5, 7}) {
     tasks.push_back(core::CorpusTask{
-        id, [id, &pipeline](support::ThreadPool* pool) {
+        id, [id, &pipeline] {
           if (id == 3)
             throw support::ParseError("device 3: corrupt image directory");
-          return pipeline.analyze(fw::synthesize(fw::profile_by_id(id)),
-                                  pool);
+          return pipeline.analyze(fw::synthesize(fw::profile_by_id(id)));
         }});
   }
   for (const int jobs : {1, 2}) {

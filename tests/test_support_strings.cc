@@ -85,8 +85,10 @@ TEST(LcsSimilarity, PaperFormula) {
 }
 
 // Property sweep: similarity is symmetric, bounded, and 1.0 on identity.
-class LcsProperty : public ::testing::TestWithParam<
-                        std::tuple<const char*, const char*>> {};
+// std::string, not const char*: gtest prints a char pointer inside a tuple
+// with its address, which would make the test names differ per process.
+using LcsPair = std::tuple<std::string, std::string>;
+class LcsProperty : public ::testing::TestWithParam<LcsPair> {};
 
 TEST_P(LcsProperty, SymmetricAndBounded) {
   const auto [a, b] = GetParam();
@@ -101,12 +103,12 @@ TEST_P(LcsProperty, SymmetricAndBounded) {
 INSTANTIATE_TEST_SUITE_P(
     Pairs, LcsProperty,
     ::testing::Values(
-        std::make_tuple("uid=%s", "alarm_time=%s"),
-        std::make_tuple("\"mac\":\"%s\"", "\"sn\":\"%s\""),
-        std::make_tuple("", "nonempty"),
-        std::make_tuple("?m=cloud&a=q", "?m=camera&a=r"),
-        std::make_tuple("xyz", "zyx"),
-        std::make_tuple("longer-string-here", "short")));
+        LcsPair{"uid=%s", "alarm_time=%s"},
+        LcsPair{"\"mac\":\"%s\"", "\"sn\":\"%s\""},
+        LcsPair{"", "nonempty"},
+        LcsPair{"?m=cloud&a=q", "?m=camera&a=r"},
+        LcsPair{"xyz", "zyx"},
+        LcsPair{"longer-string-here", "short"}));
 
 TEST(ToHex, Basic) {
   EXPECT_EQ(to_hex(std::string("\x00\xff\x10", 3)), "00ff10");

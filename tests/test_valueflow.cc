@@ -318,12 +318,12 @@ TEST(ValueFlowDevirtualization, RecoversHandlerSendingThroughFunctionPointer) {
   // The reply sender is reachable only through the dispatch slot: without
   // devirtualization the recv handler has no path to any send callsite and
   // §IV-A misses the genuine device-cloud executable.
-  core::ExecutableIdentifier::Options no_devirt;
-  no_devirt.devirtualize = false;
-  EXPECT_FALSE(core::ExecutableIdentifier(no_devirt)
-                   .analyze(prog)
-                   .is_device_cloud);
-  EXPECT_TRUE(core::ExecutableIdentifier().analyze(prog).is_device_cloud);
+  const CallGraph plain(prog);
+  const ValueFlow vf(prog);
+  const CallGraph devirt(prog, vf);
+  const core::ExecutableIdentifier identifier;
+  EXPECT_FALSE(identifier.analyze(prog, plain).is_device_cloud);
+  EXPECT_TRUE(identifier.analyze(prog, devirt).is_device_cloud);
 
   // The recovered reachability is exactly one devirtualized edge from the
   // event-registered handler to the sender.
@@ -331,11 +331,8 @@ TEST(ValueFlowDevirtualization, RecoversHandlerSendingThroughFunctionPointer) {
   const ir::Function* sender = prog.function("send_reply");
   ASSERT_NE(handler, nullptr);
   ASSERT_NE(sender, nullptr);
-  const CallGraph plain(prog);
   EXPECT_TRUE(plain.is_event_registered(handler));
   EXPECT_EQ(plain.distance(handler, sender), -1);
-  const ValueFlow vf(prog);
-  const CallGraph devirt(prog, vf);
   EXPECT_EQ(devirt.distance(handler, sender), 1);
   // Direct-call views stay direct: the handler still has no direct callers,
   // so the asynchrony test of §IV-A is unaffected.

@@ -113,8 +113,7 @@ int usage() {
                "                        include Runtime-kind metrics (phase\n"
                "                        latencies, queue depth) in the dump\n"
                "                        (off by default: the Work-only dump\n"
-               "                        is byte-identical at any --jobs;\n"
-               "                        --metrics-runtime is an alias)\n"
+               "                        is byte-identical at any --jobs)\n"
                "  --events-out <path>   write the decision-event log (JSONL,\n"
                "                        byte-identical at any --jobs)\n"
                "\n"
@@ -305,8 +304,8 @@ void print_cache_stats(const CacheFlags& flags) {
 }
 
 /// Consumes the shared observability flags (--trace-out, --profile-out,
-/// --metrics-out, --metrics-format, --metrics-runtime /
-/// --metrics-include-runtime, --events-out) and writes the requested
+/// --metrics-out, --metrics-format, --metrics-include-runtime,
+/// --events-out) and writes the requested
 /// exports when the command finishes, whichever return path it takes.
 /// Tracing is switched on only when --trace-out or --profile-out was
 /// given — a plain run pays one relaxed atomic load per span site
@@ -318,12 +317,8 @@ class ObsWriter {
         profile_out_(take_value_flag(args, "--profile-out")),
         metrics_out_(take_value_flag(args, "--metrics-out")),
         metrics_format_(take_value_flag(args, "--metrics-format")),
-        events_out_(take_value_flag(args, "--events-out")) {
-    // Both spellings must be consumed unconditionally — short-circuiting
-    // would leave the second one behind as an "unknown flag".
-    const bool runtime_short = take_flag(args, "--metrics-runtime");
-    const bool runtime_long = take_flag(args, "--metrics-include-runtime");
-    include_runtime_ = runtime_short || runtime_long;
+        events_out_(take_value_flag(args, "--events-out")),
+        include_runtime_(take_flag(args, "--metrics-include-runtime")) {
     if (metrics_format_.has_value() && *metrics_format_ != "json" &&
         *metrics_format_ != "prom") {
       throw support::ParseError("--metrics-format must be 'json' or 'prom', got '" +
@@ -519,8 +514,9 @@ int cmd_analyze(std::vector<std::string> args) {
     const fw::FirmwareImage image = fw::load_image(args[0]);
     core::DeviceAnalysis analysis;
     if (jobs > 1) {
-      // Phase 2 fans out across the image's device-cloud programs; the
-      // report is identical to the sequential run (timings aside).
+      // The per-executable points-to and value-flow solves parallelize
+      // their per-function work; the report is identical to the sequential
+      // run (timings aside).
       support::ThreadPool pool(static_cast<std::size_t>(jobs));
       analysis = pipeline.analyze(image, &pool);
     } else {
