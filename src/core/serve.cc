@@ -8,14 +8,12 @@
 #include <istream>
 #include <mutex>
 #include <ostream>
-#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/corpus_runner.h"
 #include "core/report.h"
-#include "firmware/serializer.h"
 #include "support/json.h"
 #include "support/observability/events.h"
 #include "support/observability/metrics.h"
@@ -167,50 +165,36 @@ int ServeSession::run(std::istream& in, std::ostream& out) {
   std::atomic<std::uint64_t> session_in_flight{0};
 
   const auto process_job = [&](const Job& job) {
-    std::vector<CorpusTask> tasks;
-    tasks.reserve(job.dirs.size());
-    for (std::size_t i = 0; i < job.dirs.size(); ++i) {
-      const std::string dir = job.dirs[i];
-      // The load happens inside the task: an unreadable or corrupt image
-      // directory becomes a DeviceFailure with CorpusRunner's one-retry
-      // isolation, exactly like a throwing analysis.
-      tasks.push_back(CorpusTask{
-          static_cast<int>(i), [this, dir] {
-            return pipeline_.analyze(fw::load_image(dir));
-          }});
-    }
+    // Each directory loads inside its task: an unreadable or corrupt image
+    // becomes a failure with CorpusRunner's one-retry isolation, exactly
+    // like a throwing analysis.
     CorpusRunner::Options runner_options;
     runner_options.jobs = options_.jobs;
     runner_options.retry_failed = options_.retry_failed;
-    const CorpusRunner runner(pipeline_, runner_options);
-    const CorpusResult result = runner.run_tasks(tasks);
+    const std::vector<DirectoryResult> results =
+        CorpusRunner(pipeline_, runner_options).run_dirs(job.dirs);
 
-    // Task ids are submission indices, so analyses come back in submission
-    // order; the k-th analysis belongs to the k-th non-failed directory.
-    std::set<int> failed;
-    for (const DeviceFailure& f : result.failures) failed.insert(f.device_id);
-    std::size_t next = 0;
+    std::int64_t reports = 0;
     for (std::size_t i = 0; i < job.dirs.size(); ++i) {
-      if (failed.count(static_cast<int>(i)) != 0) continue;
-      if (next >= result.analyses.size()) break;
-      const DeviceAnalysis& analysis = result.analyses[next++];
+      if (!results[i].analysis.has_value()) continue;
+      ++reports;
       emit_line(Json(JsonObject{
           {"event", Json("report")},
           {"job", Json(static_cast<std::int64_t>(job.id))},
           {"image", Json(job.dirs[i])},
-          {"device", Json(analysis.device_id)},
-          {"report", analysis_to_json(analysis, /*include_timings=*/false)},
+          {"device", Json(results[i].analysis->device_id)},
+          {"report",
+           analysis_to_json(*results[i].analysis, /*include_timings=*/false)},
       }));
     }
-    for (const DeviceFailure& f : result.failures) {
-      const std::size_t idx = static_cast<std::size_t>(f.device_id);
+    for (std::size_t i = 0; i < job.dirs.size(); ++i) {
+      if (!results[i].failure.has_value()) continue;
       emit_line(Json(JsonObject{
           {"event", Json("device_error")},
           {"job", Json(static_cast<std::int64_t>(job.id))},
-          {"image",
-           Json(idx < job.dirs.size() ? job.dirs[idx] : std::string())},
-          {"attempts", Json(f.attempts)},
-          {"error", Json(f.error)},
+          {"image", Json(job.dirs[i])},
+          {"attempts", Json(results[i].failure->attempts)},
+          {"error", Json(results[i].failure->error)},
       }));
     }
     if (options_.stream_events && events::enabled()) {
@@ -226,10 +210,9 @@ int ServeSession::run(std::istream& in, std::ostream& out) {
     emit_line(Json(JsonObject{
         {"event", Json("done")},
         {"job", Json(static_cast<std::int64_t>(job.id))},
-        {"reports",
-         Json(static_cast<std::int64_t>(result.analyses.size()))},
+        {"reports", Json(reports)},
         {"failures",
-         Json(static_cast<std::int64_t>(result.failures.size()))},
+         Json(static_cast<std::int64_t>(job.dirs.size()) - reports)},
     }));
     g_jobs_done.add();
     session_done.fetch_add(1, std::memory_order_relaxed);

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "ir/serializer.h"
+#include "support/observability/trace.h"
 #include "support/strings.h"
 
 namespace firmres::fw {
@@ -289,6 +290,7 @@ void save_image(const FirmwareImage& image, const fsys::path& dir) {
 }
 
 FirmwareImage load_image(const fsys::path& dir) {
+  FIRMRES_SPAN("load.image", "firmware");
   const Json doc = Json::parse(read_file(dir / "manifest.json"));
   if (const Json* fmt = doc.find("format");
       fmt == nullptr || !fmt->is_string() ||

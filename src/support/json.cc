@@ -390,9 +390,9 @@ void Json::dump_to(std::string& out, bool pretty, int indent) const {
   }
 }
 
-std::string Json::dump(bool pretty) const {
+std::string Json::dump(bool pretty, int indent) const {
   std::string out;
-  dump_to(out, pretty, 0);
+  dump_to(out, pretty, indent);
   return out;
 }
 

@@ -70,8 +70,10 @@ class Json {
   /// Number of object keys / array elements (0 for scalars).
   std::size_t size() const;
 
-  /// Serialize. `pretty` adds two-space indentation.
-  std::string dump(bool pretty = false) const;
+  /// Serialize. `pretty` adds two-space indentation, starting at `indent`
+  /// levels: a value dumped at indent 1 is byte-for-byte what it looks like
+  /// as an element of a pretty-printed top-level array.
+  std::string dump(bool pretty = false, int indent = 0) const;
 
   /// Parse a complete JSON document. Throws ParseError on malformed input.
   static Json parse(std::string_view text);

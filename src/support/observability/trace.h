@@ -64,6 +64,9 @@ class Span {
   /// Attach a key/value argument (shown in the trace viewer's detail
   /// panel). No-op when the span is not recording.
   void arg(const char* key, std::string value);
+  /// Set the device id once the span's work has learned it (a task that
+  /// reads the id from the image it loads).
+  void set_device(int device_id) { device_id_ = device_id; }
 
  private:
   bool live_ = false;  ///< recording (tracing was enabled at construction)
@@ -80,6 +83,7 @@ class Span {
  public:
   Span(const char*, const char*, int = 0) {}
   void arg(const char*, std::string) {}
+  void set_device(int) {}
 };
 
 #endif

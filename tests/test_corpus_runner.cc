@@ -5,14 +5,19 @@
 #include "core/corpus_runner.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/report.h"
+#include "firmware/serializer.h"
 #include "firmware/synthesizer.h"
 #include "support/observability/metrics.h"
 
@@ -156,15 +161,103 @@ TEST(CorpusRunner, OneContextSolvePerProgramAndNoNestedPoolWork) {
 }
 
 TEST(CorpusRunner, CpuTimeReconcilesWithWallClock) {
-  // A device's CPU time is its own thread's, and at most `jobs` workers plus
-  // the parallel_for caller run device tasks at once.
+  // A device's CPU time is its own thread's, and `jobs` device tasks run at
+  // once: jobs − 1 pool workers plus the parallel_for caller.
   const std::vector<fw::FirmwareImage> corpus = fw::synthesize_corpus();
   const Pipeline pipeline(kModel);
   for (const int jobs : {2, 4}) {
     const CorpusResult result =
         CorpusRunner(pipeline, {.jobs = jobs}).run(corpus);
     EXPECT_GT(result.cpu_s, 0.0) << "jobs=" << jobs;
-    EXPECT_LE(result.cpu_s, (jobs + 1) * result.wall_s) << "jobs=" << jobs;
+    EXPECT_LE(result.cpu_s, jobs * result.wall_s) << "jobs=" << jobs;
+  }
+}
+
+class TempDir {
+ public:
+  TempDir()
+      : path_(std::filesystem::temp_directory_path() /
+              ("firmres-corpus-runner-test-" + std::to_string(::getpid()))) {
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  std::string save(const fw::FirmwareImage& image, const std::string& name) {
+    fw::save_image(image, path_ / name);
+    return (path_ / name).string();
+  }
+  std::string missing() const { return (path_ / "missing").string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+TEST(CorpusRunner, DirectoryTasksLoadAnalyzeAndRender) {
+  // Device 5 twice, a directory that does not exist, and ids out of order.
+  TempDir base;
+  const fw::FirmwareImage five = fw::synthesize(fw::profile_by_id(5));
+  const std::vector<std::string> dirs = {
+      base.save(five, "a"), base.save(fw::synthesize(fw::profile_by_id(2)), "b"),
+      base.missing(), base.save(five, "c"),
+      base.save(fw::synthesize(fw::profile_by_id(9)), "d")};
+  const std::vector<int> ids = {5, 2, 0, 5, 9};
+  const Pipeline pipeline(kModel);
+  const CorpusRunner::Render render = [](const fw::FirmwareImage& image,
+                                         const DeviceAnalysis& analysis) {
+    return image.profile.vendor + "\n" +
+           analysis_to_json(analysis, /*include_timings=*/false).dump(true, 1);
+  };
+
+  for (const int jobs : {1, 4}) {
+    std::mutex mu;
+    std::multiset<int> done;
+    CorpusRunner::Options options{.jobs = jobs};
+    options.on_device_done = [&](int id, bool ok, const PhaseTimings&) {
+      std::lock_guard<std::mutex> lock(mu);
+      EXPECT_TRUE(ok);
+      done.insert(id);
+    };
+    const support::metrics::Snapshot before = support::metrics::snapshot();
+    const std::vector<DirectoryResult> results =
+        CorpusRunner(pipeline, options).run_dirs(dirs, render);
+    const support::metrics::Snapshot delta =
+        support::metrics::snapshot().delta(before);
+
+    ASSERT_EQ(results.size(), dirs.size()) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < dirs.size(); ++i) {
+      const DirectoryResult& r = results[i];
+      EXPECT_EQ(r.device_id, ids[i]) << "jobs=" << jobs << " dir " << i;
+      EXPECT_FALSE(r.analysis.has_value());  // a render drops the analysis
+      if (i == 2) {
+        ASSERT_TRUE(r.failure.has_value());
+        EXPECT_TRUE(r.load_failed);
+        EXPECT_EQ(r.failure->attempts, 2);
+        EXPECT_TRUE(r.rendered.empty());
+        continue;
+      }
+      EXPECT_FALSE(r.failure.has_value()) << "jobs=" << jobs << " dir " << i;
+      const fw::FirmwareImage image = fw::load_image(dirs[i]);
+      EXPECT_EQ(r.rendered, render(image, pipeline.analyze(image)))
+          << "jobs=" << jobs << " dir " << i;
+    }
+    // Progress names manifest ids; the unloadable directory has none.
+    EXPECT_EQ(done, (std::multiset<int>{2, 5, 5, 9})) << "jobs=" << jobs;
+    EXPECT_EQ(counter_value(delta, "corpus.devices_completed"), 4u);
+    EXPECT_EQ(counter_value(delta, "corpus.devices_failed"), 1u);
+    EXPECT_EQ(counter_value(delta, "corpus.device_retries"), 1u);
+    // One pool task per directory; the retry runs after the fan-out.
+    EXPECT_EQ(counter_value(delta, "pool.tasks_executed"),
+              jobs == 1 ? 0u : dirs.size());
+  }
+
+  // Without a render the analysis comes back instead.
+  const std::vector<DirectoryResult> plain =
+      CorpusRunner(pipeline, {.jobs = 2}).run_dirs(dirs);
+  for (std::size_t i = 0; i < dirs.size(); ++i) {
+    EXPECT_EQ(plain[i].analysis.has_value(), i != 2);
+    if (plain[i].analysis.has_value()) {
+      EXPECT_EQ(plain[i].analysis->device_id, ids[i]);
+    }
+    EXPECT_TRUE(plain[i].rendered.empty());
   }
 }
 

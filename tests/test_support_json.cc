@@ -88,6 +88,17 @@ TEST(JsonDump, Pretty) {
   EXPECT_EQ(Json::parse(text).find("a")->as_number(), 1.0);
 }
 
+TEST(JsonDump, PrettyAtIndentMatchesArrayElement) {
+  // Framing elements dumped at indent 1 as "[\n  e0,\n  e1\n]" must give
+  // the bytes of the whole array dumped at indent 0.
+  const Json a = Json::parse(R"({"k": [1, {"x": "y"}], "e": {}})");
+  const Json b = Json::parse(R"([true, null])");
+  const std::string framed =
+      "[\n  " + a.dump(true, 1) + ",\n  " + b.dump(true, 1) + "\n]";
+  EXPECT_EQ(framed, Json(JsonArray{a, b}).dump(true));
+  EXPECT_EQ(a.dump(false, 3), a.dump());  // compact output has no indent
+}
+
 TEST(JsonSet, InsertAndOverwrite) {
   Json v{JsonObject{}};
   v.set("a", Json(1));

@@ -34,11 +34,13 @@
 // Exit codes: 0 success, 1 runtime failure (or findings for hunt/lint),
 // 2 usage / unknown subcommand, 3 unknown flag. README.md carries the
 // full per-subcommand flag and exit-code reference.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <sstream>
 #include <optional>
 #include <string>
@@ -453,37 +455,43 @@ int cmd_synth(std::vector<std::string> args) {
   return 0;
 }
 
-void print_analysis(const fw::FirmwareImage& image,
-                    const core::DeviceAnalysis& analysis) {
-  std::printf("image: %s %s (device %d)\n", image.profile.vendor.c_str(),
-              image.profile.model.c_str(), image.profile.id);
+/// The human report of one analyzed image.
+std::string analysis_text(const fw::FirmwareImage& image,
+                          const core::DeviceAnalysis& analysis) {
+  std::string out =
+      support::format("image: %s %s (device %d)\n",
+                      image.profile.vendor.c_str(),
+                      image.profile.model.c_str(), image.profile.id);
   for (const analysis::components::ComponentHit& hit : analysis.components)
-    std::printf("component: %s %s — %zu/%zu functions matched%s%s\n",
-                hit.name.c_str(), hit.version.c_str(), hit.matched_functions,
-                hit.total_functions,
-                hit.version_ambiguous ? " [version ambiguous]" : "",
-                hit.risky ? (" [RISKY: " + hit.risk_note + "]").c_str() : "");
-  if (analysis.device_cloud_executable.empty()) {
-    std::printf("no device-cloud executable identified\n");
-    return;
-  }
-  std::printf("device-cloud executable: %s\n",
-              analysis.device_cloud_executable.c_str());
-  std::printf("%zu messages reconstructed, %d LAN-destined discarded, %zu "
-              "alarms\n\n",
-              analysis.messages.size(), analysis.discarded_lan,
-              analysis.flaws.size());
+    out += support::format(
+        "component: %s %s — %zu/%zu functions matched%s%s\n",
+        hit.name.c_str(), hit.version.c_str(), hit.matched_functions,
+        hit.total_functions,
+        hit.version_ambiguous ? " [version ambiguous]" : "",
+        hit.risky ? (" [RISKY: " + hit.risk_note + "]").c_str() : "");
+  if (analysis.device_cloud_executable.empty())
+    return out + "no device-cloud executable identified\n";
+  out += "device-cloud executable: " + analysis.device_cloud_executable +
+         "\n";
+  out += support::format(
+      "%zu messages reconstructed, %d LAN-destined discarded, %zu "
+      "alarms\n\n",
+      analysis.messages.size(), analysis.discarded_lan,
+      analysis.flaws.size());
   for (std::size_t i = 0; i < analysis.messages.size(); ++i) {
     const core::ReconstructedMessage& m = analysis.messages[i];
-    std::printf("[%2zu] %-38s %-10s %zu fields\n", i,
-                m.endpoint_path.empty() ? "(endpoint not evident)"
-                                        : m.endpoint_path.c_str(),
-                fw::wire_format_name(m.format), m.fields.size());
+    out += support::format("[%2zu] %-38s %-10s %zu fields\n", i,
+                           m.endpoint_path.empty()
+                               ? "(endpoint not evident)"
+                               : m.endpoint_path.c_str(),
+                           fw::wire_format_name(m.format), m.fields.size());
   }
-  std::printf("\nalarms:\n");
+  out += "\nalarms:\n";
   for (const core::FlawReport& flaw : analysis.flaws)
-    std::printf("  message #%zu [%s]: %s\n", flaw.message_index,
-                core::flaw_kind_name(flaw.kind), flaw.detail.c_str());
+    out += support::format("  message #%zu [%s]: %s\n", flaw.message_index,
+                           core::flaw_kind_name(flaw.kind),
+                           flaw.detail.c_str());
+  return out;
 }
 
 int cmd_analyze(std::vector<std::string> args) {
@@ -527,50 +535,68 @@ int cmd_analyze(std::vector<std::string> args) {
       std::printf("%s\n",
                   core::analysis_to_json(analysis).dump(true).c_str());
     } else {
-      print_analysis(image, analysis);
+      std::fputs(analysis_text(image, analysis).c_str(), stdout);
     }
     print_cache_stats(cache);
     return 0;
   }
 
-  // Several image directories: fan out on the CorpusRunner. A broken
+  // Several image directories: one CorpusRunner task per directory loads,
+  // analyzes and renders it — a JSON report at array depth 1, or the text
+  // report — so this thread only frames and writes the pieces. A broken
   // directory skips that device (like hunt), not the whole run.
-  std::vector<fw::FirmwareImage> images;
-  for (const std::string& dir : args) {
-    try {
-      images.push_back(fw::load_image(dir));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "skipping %s: %s\n", dir.c_str(), e.what());
-    }
-  }
   core::CorpusRunner::Options runner_options{.jobs = jobs};
   if (progress) runner_options.on_device_done = print_progress;
   const core::CorpusRunner runner(pipeline, runner_options);
-  const core::CorpusResult run = runner.run(images);
-  for (const core::DeviceFailure& failure : run.failures)
-    std::fprintf(stderr, "device %d failed (%d attempt%s): %s\n",
-                 failure.device_id, failure.attempts,
-                 failure.attempts == 1 ? "" : "s", failure.error.c_str());
-  if (json) {
-    support::JsonArray reports;
-    for (const core::DeviceAnalysis& analysis : run.analyses)
-      reports.push_back(core::analysis_to_json(analysis));
-    std::printf("%s\n",
-                support::Json(std::move(reports)).dump(true).c_str());
-  } else {
-    for (const core::DeviceAnalysis& analysis : run.analyses) {
-      for (const fw::FirmwareImage& image : images) {
-        if (image.profile.id != analysis.device_id) continue;
-        print_analysis(image, analysis);
-        std::putchar('\n');
-        break;
-      }
+  const std::vector<core::DirectoryResult> results = runner.run_dirs(
+      args, [json](const fw::FirmwareImage& image,
+                   const core::DeviceAnalysis& analysis) {
+        return json ? core::analysis_to_json(analysis).dump(true, 1)
+                    : analysis_text(image, analysis) + "\n";
+      });
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (results[i].load_failed)
+      std::fprintf(stderr, "skipping %s: %s\n", args[i].c_str(),
+                   results[i].failure->error.c_str());
+  }
+
+  // Device-id order, ties in argument order.
+  std::vector<std::size_t> order(results.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return results[a].device_id < results[b].device_id;
+                   });
+  std::vector<const std::string*> pieces;
+  std::size_t failed = 0;
+  for (const std::size_t i : order) {
+    const std::optional<core::DeviceFailure>& failure = results[i].failure;
+    if (!failure.has_value()) {
+      pieces.push_back(&results[i].rendered);
+    } else if (!results[i].load_failed) {
+      ++failed;
+      std::fprintf(stderr, "device %d failed (%d attempt%s): %s\n",
+                   failure->device_id, failure->attempts,
+                   failure->attempts == 1 ? "" : "s",
+                   failure->error.c_str());
     }
-    std::printf("%zu device(s) analyzed, %zu failed\n", run.analyses.size(),
-                run.failures.size());
+  }
+  if (json) {
+    // Json::dump's pretty array framing around the depth-1 elements.
+    std::fputs(pieces.empty() ? "[" : "[\n", stdout);
+    for (std::size_t k = 0; k < pieces.size(); ++k) {
+      std::fputs("  ", stdout);
+      std::fputs(pieces[k]->c_str(), stdout);
+      std::fputs(k + 1 < pieces.size() ? ",\n" : "\n", stdout);
+    }
+    std::fputs("]\n", stdout);
+  } else {
+    for (const std::string* piece : pieces) std::fputs(piece->c_str(), stdout);
+    std::printf("%zu device(s) analyzed, %zu failed\n", pieces.size(),
+                failed);
   }
   print_cache_stats(cache);
-  return run.failures.empty() && images.size() == args.size() ? 0 : 1;
+  return pieces.size() == results.size() ? 0 : 1;
 }
 
 int cmd_hunt(std::vector<std::string> args) {
