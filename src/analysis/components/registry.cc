@@ -3,8 +3,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "support/file.h"
 #include "support/hash.h"
 #include "support/json.h"
 #include "support/strings.h"
@@ -263,12 +263,10 @@ std::optional<LibraryRegistry> LibraryRegistry::load(const std::string& path,
     return std::nullopt;
   };
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return fail("cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const std::optional<std::string> text = support::read_file(path);
+  if (!text.has_value()) return fail("cannot open file");
 
-  const std::optional<Json> doc = Json::try_parse(buf.str());
+  const std::optional<Json> doc = Json::try_parse(*text);
   if (!doc.has_value()) return fail("malformed JSON (truncated?)");
   const Json* format = doc->find("format");
   if (format == nullptr || !format->is_string() ||

@@ -6,9 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 
 #include "support/error.h"
+#include "support/file.h"
 #include "support/hash.h"
 #include "support/observability/events.h"
 #include "support/observability/metrics.h"
@@ -337,6 +337,12 @@ std::string entry_filename(const char* kind, std::uint64_t key) {
                          static_cast<unsigned long long>(key));
 }
 
+/// The files the eviction cap counts: every `*.json` in the directory
+/// (writer temps and foreign files with other suffixes are not entries).
+bool is_entry_name(const std::string& name) {
+  return name.size() >= 5 && name.compare(name.size() - 5, 5, ".json") == 0;
+}
+
 }  // namespace
 
 AnalysisCache::AnalysisCache(Options options) : options_(std::move(options)) {
@@ -345,6 +351,11 @@ AnalysisCache::AnalysisCache(Options options) : options_(std::move(options)) {
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
   FIRMRES_CHECK_MSG(!ec, "cannot create cache directory " + options_.dir);
+  for (const fs::directory_entry& e :
+       fs::directory_iterator(options_.dir, ec)) {
+    if (ec) break;
+    if (is_entry_name(e.path().filename().string())) ++entries_;
+  }
 }
 
 // --- content hashing ---------------------------------------------------------
@@ -411,11 +422,8 @@ std::uint64_t AnalysisCache::hash_program_ir(const ir::Program& program) {
 std::optional<Json> AnalysisCache::load_payload(const char* kind,
                                                 std::uint64_t key) {
   const fs::path path = fs::path(options_.dir) / entry_filename(kind, key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return std::nullopt;  // absent: a clean miss
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  const std::optional<std::string> text = support::read_file(path.string());
+  if (!text.has_value()) return std::nullopt;  // absent: a clean miss
 
   const auto fail = [&]() -> std::optional<Json> {
     std::lock_guard<std::mutex> lock(mu_);
@@ -423,7 +431,7 @@ std::optional<Json> AnalysisCache::load_payload(const char* kind,
     g_load_errors.add();
     return std::nullopt;
   };
-  const std::optional<Json> doc = Json::try_parse(text);
+  const std::optional<Json> doc = Json::try_parse(*text);
   if (!doc.has_value() || !doc->is_object()) return fail();
   const Json* format = doc->find("format");
   const Json* version = doc->find("version");
@@ -456,15 +464,15 @@ std::optional<Json> AnalysisCache::load_payload(const char* kind,
 
 void AnalysisCache::store_payload(const char* kind, std::uint64_t key,
                                   const Json& payload) {
-  const Json doc(JsonObject{
-      {"format", Json(kCacheFormat)},
-      {"version", Json(kCacheVersion)},
-      {"kind", Json(kind)},
-      {"key", Json(hex_u64(key))},
-      {"payload", payload},
-      {"payload_hash", Json(hex_u64(support::fnv1a64(payload.dump(false))))},
-  });
-  const std::string text = doc.dump(false);
+  // The envelope is written around the payload's one serialization. Its
+  // bytes are what the Json object {format, version, kind, key, payload,
+  // payload_hash} dumps to compact, so stores written either way load.
+  const std::string body = payload.dump(false);
+  const std::string text =
+      std::string("{\"format\":\"") + kCacheFormat + "\",\"version\":" +
+      std::to_string(kCacheVersion) + ",\"kind\":\"" + kind +
+      "\",\"key\":\"" + hex_u64(key) + "\",\"payload\":" + body +
+      ",\"payload_hash\":\"" + hex_u64(support::fnv1a64(body)) + "\"}";
 
   // Unique temp + rename: concurrent writers of the same key race to an
   // atomic replace, and readers never observe a partial file.
@@ -490,22 +498,25 @@ void AnalysisCache::store_payload(const char* kind, std::uint64_t key,
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.stores;
   g_stores.add();
-  evict_locked();
+  // Below the cap a store costs two counters. An overwrite of an existing
+  // key over-counts, so at worst a scan comes early and evicts nothing.
+  if (++entries_ > options_.max_entries) evict_locked();
 }
 
 void AnalysisCache::evict_locked() {
+  ++stats_.eviction_scans;
   std::error_code ec;
   std::vector<std::pair<fs::file_time_type, fs::path>> entries;
   for (const fs::directory_entry& e :
        fs::directory_iterator(options_.dir, ec)) {
     if (ec) return;
-    const std::string name = e.path().filename().string();
-    if (name.size() < 5 || name.substr(name.size() - 5) != ".json") continue;
+    if (!is_entry_name(e.path().filename().string())) continue;
     std::error_code tec;
     const fs::file_time_type mtime = e.last_write_time(tec);
     if (tec) continue;
     entries.emplace_back(mtime, e.path());
   }
+  entries_ = entries.size();
   if (entries.size() <= options_.max_entries) return;
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) {
@@ -516,6 +527,7 @@ void AnalysisCache::evict_locked() {
   for (std::size_t i = 0; i < excess; ++i) {
     std::error_code rec;
     if (fs::remove(entries[i].second, rec) && !rec) {
+      --entries_;
       ++stats_.evictions;
       g_evictions.add();
     }

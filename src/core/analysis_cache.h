@@ -31,7 +31,9 @@
 // atomically (unique temp + rename) so concurrent writers can share a
 // directory; corrupt, truncated, version-skewed, or hash-mismatched files
 // load as misses (counted in cache.load_errors), never as errors. Eviction
-// is mtime-LRU over Options::max_entries.
+// is mtime-LRU over Options::max_entries: the cache counts its entries when
+// it opens the directory, adds one per store, and scans the directory only
+// when that count passes the cap.
 #pragma once
 
 #include <cstdint>
@@ -134,6 +136,10 @@ class AnalysisCache {
     std::uint64_t stores = 0;
     std::uint64_t evictions = 0;
     std::uint64_t load_errors = 0;
+    /// Directory scans made by eviction (no registry mirror: when a store
+    /// crosses the cap depends on what the directory held at open, not on
+    /// the corpus).
+    std::uint64_t eviction_scans = 0;
   };
 
   explicit AnalysisCache(Options options);
@@ -188,6 +194,10 @@ class AnalysisCache {
   Options options_;
   mutable std::mutex mu_;
   Stats stats_;
+  /// Entry files as this instance counts them: taken at open, one more per
+  /// store, reset by each eviction scan. Other writers sharing the
+  /// directory are only seen by the next scan.
+  std::size_t entries_ = 0;
 };
 
 }  // namespace firmres::core

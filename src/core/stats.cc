@@ -1,11 +1,11 @@
 #include "core/stats.h"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "support/error.h"
+#include "support/file.h"
 #include "support/json.h"
 #include "support/strings.h"
 
@@ -18,11 +18,9 @@ using support::Json;
 using support::ParseError;
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("cannot read artifact " + path);
-  std::ostringstream body;
-  body << in.rdbuf();
-  return body.str();
+  std::optional<std::string> body = support::read_file(path);
+  if (!body.has_value()) throw ParseError("cannot read artifact " + path);
+  return std::move(*body);
 }
 
 /// Map a serialized bucket bound back to its index: "inf" is the unbounded

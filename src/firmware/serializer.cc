@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "ir/serializer.h"
+#include "support/file.h"
 #include "support/observability/trace.h"
 #include "support/strings.h"
 
@@ -219,10 +220,9 @@ MessageSpec spec_from_json(const Json& o) {
 }
 
 std::string read_file(const fsys::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("cannot open " + path.string());
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
+  std::optional<std::string> text = support::read_file(path.string());
+  if (!text.has_value()) throw ParseError("cannot open " + path.string());
+  return std::move(*text);
 }
 
 void write_file(const fsys::path& path, const std::string& content) {

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <fstream>
 
+#include "support/file.h"
+
 namespace firmres::nlp {
 
 namespace {
@@ -274,11 +276,10 @@ void SliceClassifier::save(const std::string& path) const {
 
 std::unique_ptr<SliceClassifier> SliceClassifier::load(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw support::ParseError("cannot open model file " + path);
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
-  return from_json(support::Json::parse(text));
+  const std::optional<std::string> text = support::read_file(path);
+  if (!text.has_value())
+    throw support::ParseError("cannot open model file " + path);
+  return from_json(support::Json::parse(*text));
 }
 
 }  // namespace firmres::nlp

@@ -94,6 +94,7 @@ class Parser {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 
   [[noreturn]] void fail(const std::string& msg) {
     throw ParseError("JSON parse error at offset " + std::to_string(pos_) +
@@ -115,6 +116,12 @@ class Parser {
   void expect(char c) {
     if (peek() != c) fail(std::string("expected '") + c + "'");
     ++pos_;
+  }
+
+  // Entered at each '[' / '{'; the matching return leaves.
+  void descend() {
+    if (++depth_ > kJsonMaxDepth)
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
   }
 
   bool consume_literal(std::string_view lit) {
@@ -221,11 +228,13 @@ class Parser {
   }
 
   Json parse_array() {
+    descend();
     expect('[');
     JsonArray arr;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return Json(std::move(arr));
     }
     while (true) {
@@ -234,6 +243,7 @@ class Parser {
       const char c = peek();
       if (c == ']') {
         ++pos_;
+        --depth_;
         return Json(std::move(arr));
       }
       expect(',');
@@ -241,11 +251,13 @@ class Parser {
   }
 
   Json parse_object() {
+    descend();
     expect('{');
     JsonObject obj;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return Json(std::move(obj));
     }
     while (true) {
@@ -258,6 +270,7 @@ class Parser {
       const char c = peek();
       if (c == '}') {
         ++pos_;
+        --depth_;
         return Json(std::move(obj));
       }
       expect(',');

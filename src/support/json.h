@@ -23,6 +23,12 @@
 namespace firmres::support {
 
 class Json;
+
+/// Deepest array/object nesting Json::parse accepts. The parser and the
+/// DOM recurse once per level, so without a bound a few hundred kilobytes
+/// of `[` overflow the stack; deeper input raises ParseError instead.
+inline constexpr int kJsonMaxDepth = 512;
+
 using JsonArray = std::vector<Json>;
 /// Insertion-ordered object representation.
 using JsonObject = std::vector<std::pair<std::string, Json>>;
@@ -75,7 +81,8 @@ class Json {
   /// as an element of a pretty-printed top-level array.
   std::string dump(bool pretty = false, int indent = 0) const;
 
-  /// Parse a complete JSON document. Throws ParseError on malformed input.
+  /// Parse a complete JSON document. Throws ParseError on malformed input,
+  /// including nesting deeper than kJsonMaxDepth.
   static Json parse(std::string_view text);
 
   /// Parse, returning nullopt instead of throwing (for probing code paths

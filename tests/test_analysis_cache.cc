@@ -13,8 +13,8 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <set>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,10 +24,13 @@
 #include "core/report.h"
 #include "firmware/synthesizer.h"
 #include "ir/program.h"
+#include "support/file.h"
+#include "support/hash.h"
 #include "support/json.h"
 #include "support/observability/events.h"
 #include "support/observability/metrics.h"
 #include "support/rng.h"
+#include "support/strings.h"
 
 namespace firmres {
 namespace {
@@ -108,10 +111,7 @@ std::vector<fsys::path> entry_files(const fsys::path& dir) {
 }
 
 std::string slurp(const fsys::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
+  return support::read_file(p.string()).value_or("");
 }
 
 void spit(const fsys::path& p, const std::string& content) {
@@ -345,6 +345,122 @@ TEST(CacheRobustness, EvictionKeepsTheStoreBoundedAndCorrect) {
   // With most entries evicted, a rerun is partially cold — but still
   // byte-identical.
   EXPECT_EQ(run_reports(corpus, 1, &cache), cold);
+}
+
+TEST(CacheRobustness, DeeplyNestedEntriesAreLoadErrors) {
+  const fw::FirmwareImage image = fw::synthesize(fw::profile_by_id(3));
+  const std::string uncached = analyze_one(image, nullptr);
+  TempDir dir;
+  {
+    core::AnalysisCache cache({.dir = dir.str()});
+    ASSERT_EQ(analyze_one(image, &cache), uncached);
+  }
+  // Nesting this deep overflowed the stack of the recursive JSON parser.
+  std::size_t overwritten = 0;
+  for (const fsys::path& f : entry_files(dir.path())) {
+    if (f.filename().string().rfind("ident-", 0) != 0) continue;
+    spit(f, std::string(300000, '['));
+    ++overwritten;
+    break;
+  }
+  ASSERT_EQ(overwritten, 1u);
+
+  core::AnalysisCache reopened({.dir = dir.str()});
+  EXPECT_EQ(analyze_one(image, &reopened), uncached);
+  EXPECT_EQ(reopened.stats().load_errors, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Store path: counted eviction and the entry format
+// ---------------------------------------------------------------------------
+
+TEST(CacheStore, AnInstanceOpenedAtTheCapEvictsOnItsFirstStore) {
+  TempDir dir;
+  {
+    core::AnalysisCache filler({.dir = dir.str(), .max_entries = 8});
+    for (std::uint64_t key = 1; key <= 8; ++key)
+      filler.store_ident(key, key % 2 == 0);
+    EXPECT_EQ(filler.stats().evictions, 0u);
+  }
+  ASSERT_EQ(entry_files(dir.path()).size(), 8u);
+
+  // The count is taken at open: the first store already passes the cap.
+  core::AnalysisCache reopened({.dir = dir.str(), .max_entries = 8});
+  reopened.store_ident(9, true);
+  EXPECT_EQ(reopened.stats().eviction_scans, 1u);
+  EXPECT_EQ(reopened.stats().evictions, 1u);
+  EXPECT_EQ(entry_files(dir.path()).size(), 8u);
+}
+
+TEST(CacheStore, StoresBelowTheCapScanNothing) {
+  const fw::FirmwareImage image = fw::synthesize(fw::profile_by_id(3));
+  TempDir dir;
+  core::AnalysisCache cache({.dir = dir.str()});
+  (void)analyze_one(image, &cache);
+  ASSERT_GT(cache.stats().stores, 0u);
+  EXPECT_EQ(cache.stats().eviction_scans, 0u);
+
+  // Overwrites of one key over-count: the scan they bring on evicts
+  // nothing and resets the count to the one file on disk.
+  TempDir small;
+  core::AnalysisCache capped({.dir = small.str(), .max_entries = 2});
+  for (int i = 0; i < 3; ++i) capped.store_ident(7, true);
+  EXPECT_EQ(capped.stats().eviction_scans, 1u);
+  EXPECT_EQ(capped.stats().evictions, 0u);
+  capped.store_ident(7, true);
+  EXPECT_EQ(capped.stats().eviction_scans, 1u);
+  EXPECT_EQ(entry_files(small.path()).size(), 1u);
+}
+
+TEST(CacheStore, EntryBytesEqualTheDomBuiltEnvelope) {
+  const auto envelope = [](const char* kind, const std::string& key,
+                           const support::Json& payload) {
+    return support::Json(support::JsonObject{
+                             {"format", support::Json("firmres-cache")},
+                             {"version", support::Json(1)},
+                             {"kind", support::Json(kind)},
+                             {"key", support::Json(key)},
+                             {"payload", payload},
+                             {"payload_hash",
+                              support::Json(support::format(
+                                  "0x%016llx",
+                                  static_cast<unsigned long long>(
+                                      support::fnv1a64(
+                                          payload.dump(false)))))},
+                         })
+        .dump(false);
+  };
+  TempDir dir;
+  core::AnalysisCache cache({.dir = dir.str()});
+  cache.store_ident(0x0123456789abcdefULL, true);
+  EXPECT_EQ(slurp(dir.path() / "ident-0123456789abcdef.json"),
+            envelope("ident", "0x0123456789abcdef",
+                     support::Json(support::JsonObject{
+                         {"is_device_cloud", support::Json(true)}})));
+
+  // A sample fn payload with strings that need escaping.
+  core::CachedFunctionEntry entry;
+  entry.fn = "send_\"quoted\"\\path\n\t\x01 \xc3\xa9";
+  entry.deps.push_back({entry.fn, 1, 2, 3, 0xffffffffffffffffULL});
+  cache.store_function(42, entry);
+  const std::string fn_bytes = slurp(dir.path() / "fn-000000000000002a.json");
+  const support::Json fn_payload = *support::Json::parse(fn_bytes).find("payload");
+  EXPECT_EQ(fn_payload.find("fn")->as_string(), entry.fn);
+  EXPECT_EQ(fn_bytes, envelope("fn", "0x000000000000002a", fn_payload));
+
+  // Every entry a real analysis writes, in all three tiers.
+  (void)analyze_one(fw::synthesize(fw::profile_by_id(8)), &cache);
+  std::set<std::string> kinds;
+  for (const fsys::path& f : entry_files(dir.path())) {
+    const std::string bytes = slurp(f);
+    const support::Json doc = support::Json::parse(bytes);
+    const std::string kind = doc.find("kind")->as_string();
+    kinds.insert(kind);
+    EXPECT_EQ(bytes, envelope(kind.c_str(), doc.find("key")->as_string(),
+                              *doc.find("payload")))
+        << f;
+  }
+  EXPECT_EQ(kinds, (std::set<std::string>{"fn", "ident", "program"}));
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -186,6 +187,13 @@ class TempDir {
     return (path_ / name).string();
   }
   std::string missing() const { return (path_ / "missing").string(); }
+  /// A directory holding only a manifest.json with the given bytes.
+  std::string manifest_only(const std::string& name,
+                            const std::string& manifest) {
+    std::filesystem::create_directories(path_ / name);
+    std::ofstream(path_ / name / "manifest.json") << manifest;
+    return (path_ / name).string();
+  }
 
  private:
   std::filesystem::path path_;
@@ -259,6 +267,26 @@ TEST(CorpusRunner, DirectoryTasksLoadAnalyzeAndRender) {
     }
     EXPECT_TRUE(plain[i].rendered.empty());
   }
+}
+
+TEST(CorpusRunner, DeeplyNestedManifestIsALoadFailure) {
+  // 300 000 nested arrays used to overflow the JSON parser's stack and
+  // take the whole process down; now the directory fails alone.
+  TempDir base;
+  const std::string deep =
+      base.manifest_only("deep", std::string(300000, '['));
+  const std::string good =
+      base.save(fw::synthesize(fw::profile_by_id(2)), "a");
+  EXPECT_THROW(fw::load_image(deep), support::ParseError);
+
+  const Pipeline pipeline(kModel);
+  const std::vector<DirectoryResult> results =
+      CorpusRunner(pipeline, {.jobs = 2}).run_dirs({deep, good});
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].failure.has_value());
+  EXPECT_TRUE(results[0].load_failed);
+  EXPECT_FALSE(results[1].failure.has_value());
+  EXPECT_EQ(results[1].device_id, 2);
 }
 
 /// A task that burns "CPU" into a DeviceAnalysis and then throws on the

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace firmres::support {
 namespace {
 
@@ -60,6 +62,29 @@ INSTANTIATE_TEST_SUITE_P(Malformed, JsonBadInput,
                                            "{\"a\":}", "tru", "\"unterminated",
                                            "{\"a\":1}x", "nul", "[1 2]",
                                            "{'a':1}", "+5"));
+
+TEST(JsonParse, NestingDepthIsBounded) {
+  const std::string at_limit = std::string(kJsonMaxDepth, '[') +
+                               std::string(kJsonMaxDepth, ']');
+  EXPECT_TRUE(Json::parse(at_limit).is_array());
+
+  // One level more fails at the bracket that crosses the limit.
+  try {
+    (void)Json::parse("[" + at_limit + "]");
+    FAIL() << "no ParseError past the depth limit";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("offset " +
+                                         std::to_string(kJsonMaxDepth)),
+              std::string::npos)
+        << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i <= kJsonMaxDepth; ++i) objects += "{\"a\":";
+  EXPECT_THROW(Json::parse(objects), ParseError);
+  // Deep enough to overflow the stack of an unbounded recursive parser.
+  EXPECT_THROW(Json::parse(std::string(300000, '[')), ParseError);
+  EXPECT_FALSE(Json::try_parse(std::string(300000, '[')).has_value());
+}
 
 TEST(JsonDump, RoundTrip) {
   const char* doc =

@@ -38,10 +38,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <numeric>
-#include <sstream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -68,6 +66,7 @@
 #include "nlp/trainer.h"
 #include "ir/printer.h"
 #include "support/error.h"
+#include "support/file.h"
 #include "support/json.h"
 #include "support/logging.h"
 #include "support/observability/events.h"
@@ -906,14 +905,12 @@ int cmd_explain(std::vector<std::string> args) {
   if (args.size() != 1 || !device.has_value()) return usage();
   options.device_id = std::atoi(device->c_str());
 
-  std::ifstream in(args[0], std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = support::read_file(args[0]);
+  if (!text.has_value()) {
     std::fprintf(stderr, "cannot read %s\n", args[0].c_str());
     return 1;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const support::Json report = support::Json::parse(text.str());
+  const support::Json report = support::Json::parse(*text);
   std::printf("%s", core::explain_report(report, options).c_str());
   return 0;
 }

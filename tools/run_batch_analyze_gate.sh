@@ -8,7 +8,8 @@
 #   - a copy of device 03 whose manifest names another vendor, placed
 #     first, and a copy of device 07, placed last among the good dirs, so
 #     both device ids are shared by two directories;
-#   - a nonexistent directory and one whose manifest is garbage.
+#   - a nonexistent directory, one whose manifest is garbage, and one whose
+#     manifest nests 300 000 arrays deep (past the JSON depth limit).
 #
 # Asserts:
 #   - `--jobs 1` and `--jobs 4` print the same reports once the timing keys
@@ -58,11 +59,12 @@ manifest = json.load(open(sys.argv[1], encoding="utf-8"))
 manifest["profile"]["vendor"] = "EditedVendor"
 json.dump(manifest, open(sys.argv[1], "w", encoding="utf-8"))
 EOF
-mkdir -p "$WORKDIR/garbage"
+mkdir -p "$WORKDIR/garbage" "$WORKDIR/deep"
 echo "not json" > "$WORKDIR/garbage/manifest.json"
+head -c 300000 /dev/zero | tr '\0' '[' > "$WORKDIR/deep/manifest.json"
 
 DIRS=("$WORKDIR/edited03" "$WORKDIR"/corpus/device* "$WORKDIR/missing"
-      "$WORKDIR/dup07" "$WORKDIR/garbage")
+      "$WORKDIR/dup07" "$WORKDIR/garbage" "$WORKDIR/deep")
 printf '%s\n' "${DIRS[@]}" > "$WORKDIR/args.txt"
 
 run() {  # run <name> <analyze args...>: stdout/stderr/exit code to files
@@ -79,7 +81,8 @@ run jobs4 "${DIRS[@]}" --json --jobs 4 --profile-out "$WORKDIR/profile.txt"
 run text4 "${DIRS[@]}" --jobs 4
 mkdir -p "$WORKDIR/single"
 for i in "${!DIRS[@]}"; do
-  if [[ -f "${DIRS[$i]}/manifest.json" && "${DIRS[$i]}" != */garbage ]]; then
+  if [[ -f "${DIRS[$i]}/manifest.json" && "${DIRS[$i]}" != */garbage &&
+        "${DIRS[$i]}" != */deep ]]; then
     "$FIRMRES" analyze "${DIRS[$i]}" --json > "$WORKDIR/single/$i.json"
   fi
 done
@@ -91,7 +94,7 @@ import sys
 
 work = sys.argv[1]
 dirs = open(os.path.join(work, "args.txt"), encoding="utf-8").read().split("\n")[:-1]
-bad = [d for d in dirs if d.endswith(("/missing", "/garbage"))]
+bad = [d for d in dirs if d.endswith(("/missing", "/garbage", "/deep"))]
 failures = []
 
 
