@@ -19,8 +19,6 @@ CallGraph::CallGraph(const ir::Program& program, const ValueFlow& valueflow)
 }
 
 void CallGraph::build(const ValueFlow* valueflow) {
-  const auto& lib = ir::LibraryModel::instance();
-
   for (const ir::Function* fn : program_.functions()) by_entry_[fn->entry_address()] = fn;
 
   for (const ir::Function* fn : program_.local_functions()) {

@@ -11,14 +11,6 @@ namespace {
 
 using support::Json;
 
-const Json* require(const Json& obj, const char* key) {
-  const Json* value = obj.find(key);
-  if (value == nullptr)
-    throw support::ParseError(std::string("report is missing '") + key +
-                              "' — not a firmres report?");
-  return value;
-}
-
 std::string str_or(const Json& obj, const char* key,
                    const std::string& fallback = {}) {
   const Json* value = obj.find(key);

@@ -36,6 +36,34 @@ std::string get_str(const Json& obj, const char* key) {
   return v.as_string();
 }
 
+const Json& typed(const Json& obj, const char* key, Json::Type type,
+                  const char* what) {
+  const Json& v = field(obj, key);
+  if (v.type() != type)
+    malformed(std::string("field '") + key + "' is not " + what);
+  return v;
+}
+
+bool get_bool(const Json& obj, const char* key) {
+  return typed(obj, key, Json::Type::Bool, "a bool").as_bool();
+}
+
+double get_num(const Json& obj, const char* key) {
+  return typed(obj, key, Json::Type::Number, "a number").as_number();
+}
+
+template <class T = int>
+T get_int(const Json& obj, const char* key) {
+  const std::optional<T> v = support::checked_integer<T>(get_num(obj, key));
+  if (!v.has_value())
+    malformed(std::string("field '") + key + "' is out of range");
+  return *v;
+}
+
+const JsonArray& get_array(const Json& obj, const char* key) {
+  return typed(obj, key, Json::Type::Array, "an array").as_array();
+}
+
 // --- enum name round-trips ----------------------------------------------------
 
 Protocol protocol_from_name(const std::string& name) {
@@ -102,30 +130,29 @@ Json profile_to_json(const DeviceProfile& p) {
 
 DeviceProfile profile_from_json(const Json& o) {
   DeviceProfile p;
-  p.id = static_cast<int>(field(o, "id").as_number());
+  p.id = get_int(o, "id");
   p.vendor = get_str(o, "vendor");
   p.model = get_str(o, "model");
   p.device_type = get_str(o, "device_type");
   p.firmware_version = get_str(o, "firmware_version");
-  p.script_based = field(o, "script_based").as_bool();
+  p.script_based = get_bool(o, "script_based");
   p.primary_protocol = protocol_from_name(get_str(o, "protocol"));
   p.assembly = get_str(o, "assembly") == "sprintf" ? AssemblyStyle::Sprintf
                                                    : AssemblyStyle::JsonLib;
-  p.num_messages = static_cast<int>(field(o, "num_messages").as_number());
-  p.num_retired = static_cast<int>(field(o, "num_retired").as_number());
-  p.num_lan_messages =
-      static_cast<int>(field(o, "num_lan_messages").as_number());
-  p.min_fields = static_cast<int>(field(o, "min_fields").as_number());
-  p.max_fields = static_cast<int>(field(o, "max_fields").as_number());
-  p.noise_field_rate = field(o, "noise_field_rate").as_number();
-  p.custom_key_rate = field(o, "custom_key_rate").as_number();
-  p.num_noise_execs = static_cast<int>(field(o, "num_noise_execs").as_number());
-  p.single_field_formats = field(o, "single_field_formats").as_bool();
+  p.num_messages = get_int(o, "num_messages");
+  p.num_retired = get_int(o, "num_retired");
+  p.num_lan_messages = get_int(o, "num_lan_messages");
+  p.min_fields = get_int(o, "min_fields");
+  p.max_fields = get_int(o, "max_fields");
+  p.noise_field_rate = get_num(o, "noise_field_rate");
+  p.custom_key_rate = get_num(o, "custom_key_rate");
+  p.num_noise_execs = get_int(o, "num_noise_execs");
+  p.single_field_formats = get_bool(o, "single_field_formats");
   // Absent in images serialized before the field existed.
-  if (const Json* id = o.find("indirect_dispatch"))
-    p.indirect_dispatch = id->as_bool();
-  if (const Json* mi = o.find("memory_indirection"))
-    p.memory_indirection = mi->as_bool();
+  if (o.find("indirect_dispatch") != nullptr)
+    p.indirect_dispatch = get_bool(o, "indirect_dispatch");
+  if (o.find("memory_indirection") != nullptr)
+    p.memory_indirection = get_bool(o, "memory_indirection");
   p.seed = std::strtoull(get_str(o, "seed").c_str(), nullptr, 16);
   return p;
 }
@@ -199,12 +226,12 @@ MessageSpec spec_from_json(const Json& o) {
                       : AssemblyStyle::JsonLib;
   spec.phase = get_str(o, "phase") == "binding" ? MessageSpec::Phase::Binding
                                                 : MessageSpec::Phase::Business;
-  spec.vulnerable = field(o, "vulnerable").as_bool();
+  spec.vulnerable = get_bool(o, "vulnerable");
   spec.consequence = get_str(o, "consequence");
-  spec.endpoint_retired = field(o, "endpoint_retired").as_bool();
-  spec.lan_destination = field(o, "lan_destination").as_bool();
-  spec.benign_no_auth = field(o, "benign_no_auth").as_bool();
-  for (const Json& fo : field(o, "fields").as_array()) {
+  spec.endpoint_retired = get_bool(o, "endpoint_retired");
+  spec.lan_destination = get_bool(o, "lan_destination");
+  spec.benign_no_auth = get_bool(o, "benign_no_auth");
+  for (const Json& fo : get_array(o, "fields")) {
     FieldSpec f;
     f.key = get_str(fo, "key");
     const auto prim = parse_primitive(get_str(fo, "primitive"));
@@ -213,7 +240,7 @@ MessageSpec spec_from_json(const Json& o) {
     f.origin = field_origin_from_name(get_str(fo, "origin"));
     f.source_key = get_str(fo, "source_key");
     f.value = get_str(fo, "value");
-    f.vendor_custom = field(fo, "vendor_custom").as_bool();
+    f.vendor_custom = get_bool(fo, "vendor_custom");
     spec.fields.push_back(std::move(f));
   }
   return spec;
@@ -300,16 +327,20 @@ FirmwareImage load_image(const fsys::path& dir) {
   FirmwareImage image;
   image.profile = profile_from_json(field(doc, "profile"));
   image.identity = identity_from_json(field(doc, "identity"));
-  for (const auto& [key, value] : field(doc, "nvram").as_object())
+  for (const auto& [key, value] :
+       typed(doc, "nvram", Json::Type::Object, "an object").as_object()) {
+    if (!value.is_string())
+      malformed("nvram value '" + key + "' is not a string");
     image.nvram[key] = value.as_string();
+  }
 
-  for (const Json& fo : field(doc, "files").as_array()) {
+  for (const Json& fo : get_array(doc, "files")) {
     FirmwareFile file;
     file.path = get_str(fo, "path");
     file.kind = file_kind_from_name(get_str(fo, "kind"));
-    if (const Json* prog = fo.find("program"); prog != nullptr) {
+    if (fo.find("program") != nullptr) {
       file.program = ir::program_from_json(
-          Json::parse(read_file(dir / prog->as_string())));
+          read_file(dir / get_str(fo, "program")));
     } else {
       file.text = get_str(fo, "text");
     }
@@ -320,13 +351,12 @@ FirmwareImage load_image(const fsys::path& dir) {
   if (const Json* truth = doc.find("truth"); truth != nullptr) {
     image.truth.device_cloud_executable =
         get_str(*truth, "device_cloud_executable");
-    for (const Json& mo : field(*truth, "messages").as_array()) {
+    for (const Json& mo : get_array(*truth, "messages")) {
       MessageTruth m;
       m.spec = spec_from_json(field(mo, "spec"));
       m.executable = get_str(mo, "executable");
-      m.delivery_address =
-          static_cast<std::uint64_t>(field(mo, "delivery_address").as_number());
-      m.noise_fields = static_cast<int>(field(mo, "noise_fields").as_number());
+      m.delivery_address = get_int<std::uint64_t>(mo, "delivery_address");
+      m.noise_fields = get_int(mo, "noise_fields");
       image.truth.messages.push_back(std::move(m));
     }
   }

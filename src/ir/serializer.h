@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <string_view>
 
 #include "ir/program.h"
 #include "support/json.h"
@@ -17,7 +18,10 @@ namespace firmres::ir {
 /// Serialize a program (functions, blocks, ops, symbols, string pool).
 support::Json program_to_json(const Program& program);
 
-/// Reconstruct a program. Throws support::ParseError on malformed input.
-std::unique_ptr<Program> program_from_json(const support::Json& doc);
+/// Reconstruct a program from the text of its document, in one pass with no
+/// DOM (docs/IR.md "Decoding"). Throws support::ParseError on malformed
+/// input: bad JSON, a missing, duplicate or wrong-typed field, or an
+/// integer that does not fit its field.
+std::unique_ptr<Program> program_from_json(std::string_view text);
 
 }  // namespace firmres::ir

@@ -1,5 +1,6 @@
 #include "support/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -36,6 +37,15 @@ std::size_t utf8_sequence_length(std::string_view s, std::size_t i) {
 void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
   for (std::size_t i = 0; i < s.size();) {
+    // Copy the run of printable ASCII that needs no escape in one append.
+    std::size_t run = i;
+    while (run < s.size() && static_cast<unsigned char>(s[run]) >= 0x20 &&
+           static_cast<unsigned char>(s[run]) < 0x80 && s[run] != '"' &&
+           s[run] != '\\')
+      ++run;
+    out.append(s.substr(i, run - i));
+    i = run;
+    if (i == s.size()) break;
     const char c = s[i];
     switch (c) {
       case '"': out += "\\\""; ++i; continue;
@@ -53,9 +63,6 @@ void append_escaped(std::string& out, std::string_view s) {
       std::snprintf(buf, sizeof buf, "\\u%04x", byte);
       out += buf;
       ++i;
-    } else if (byte < 0x80) {
-      out.push_back(c);
-      ++i;
     } else if (const std::size_t len = utf8_sequence_length(s, i); len > 0) {
       // Well-formed multi-byte sequence: copy through unescaped.
       out.append(s, i, len);
@@ -72,7 +79,10 @@ void append_escaped(std::string& out, std::string_view s) {
 
 void append_number(std::string& out, double d) {
   if (d == std::floor(d) && std::abs(d) < 1e15) {
-    out += std::to_string(static_cast<std::int64_t>(d));
+    char buf[24];
+    const auto end =
+        std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(d)).ptr;
+    out.append(buf, end);
   } else {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", d);
@@ -80,205 +90,219 @@ void append_number(std::string& out, double d) {
   }
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json parse_document() {
-    Json v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-
-  [[noreturn]] void fail(const std::string& msg) {
-    throw ParseError("JSON parse error at offset " + std::to_string(pos_) +
-                     ": " + msg);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  // Entered at each '[' / '{'; the matching return leaves.
-  void descend() {
-    if (++depth_ > kJsonMaxDepth)
-      fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't':
-        if (consume_literal("true")) return Json(true);
-        fail("bad literal");
-      case 'f':
-        if (consume_literal("false")) return Json(false);
-        fail("bad literal");
-      case 'n':
-        if (consume_literal("null")) return Json(nullptr);
-        fail("bad literal");
-      default: return parse_number();
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad hex digit in \\u escape");
-            }
-            // Encode as UTF-8 (BMP only; surrogate pairs unsupported — the
-            // synthesized corpora are ASCII).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      fail("expected a value");
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) fail("expected a value");
-    const std::string num(text_.substr(start, pos_ - start));
-    try {
-      std::size_t consumed = 0;
-      const double d = std::stod(num, &consumed);
-      if (consumed != num.size()) fail("bad number: " + num);
-      return Json(d);
-    } catch (const std::exception&) {
-      fail("bad number: " + num);
-    }
-  }
-
-  Json parse_array() {
-    descend();
-    expect('[');
-    JsonArray arr;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      --depth_;
+/// Build a DOM value from the reader's next value.
+Json build(JsonReader& r) {
+  switch (r.peek()) {
+    case JsonReader::Kind::Null: r.read_null(); return Json(nullptr);
+    case JsonReader::Kind::Bool: return Json(r.read_bool());
+    case JsonReader::Kind::Number: return Json(r.read_number());
+    case JsonReader::Kind::String: return Json(r.read_string());
+    case JsonReader::Kind::Array: {
+      JsonArray arr;
+      r.begin_array();
+      while (r.next_element()) arr.push_back(build(r));
       return Json(std::move(arr));
     }
-    while (true) {
-      arr.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      if (c == ']') {
-        ++pos_;
-        --depth_;
-        return Json(std::move(arr));
+    case JsonReader::Kind::Object: {
+      JsonObject obj;
+      r.begin_object();
+      for (std::string_view key; r.next_member(key);) {
+        std::string owned(key);
+        obj.emplace_back(std::move(owned), build(r));
       }
-      expect(',');
-    }
-  }
-
-  Json parse_object() {
-    descend();
-    expect('{');
-    JsonObject obj;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      --depth_;
       return Json(std::move(obj));
     }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      obj.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      const char c = peek();
-      if (c == '}') {
-        ++pos_;
-        --depth_;
-        return Json(std::move(obj));
-      }
-      expect(',');
-    }
   }
-};
+  return Json();  // unreachable: peek() returns one of the kinds above
+}
 
 }  // namespace
+
+// --- JsonReader ---------------------------------------------------------------
+
+void JsonReader::fail(std::string_view msg) const {
+  throw ParseError("JSON parse error at offset " + std::to_string(pos_) +
+                   ": " + std::string(msg));
+}
+
+void JsonReader::fail_expected(char c) const {
+  fail(std::string("expected '") + c + "'");
+}
+
+void JsonReader::read_null() {
+  skip_ws();
+  if (text_.substr(pos_, 4) != "null") fail("bad literal");
+  pos_ += 4;
+}
+
+bool JsonReader::read_bool() {
+  skip_ws();
+  if (text_.substr(pos_, 4) == "true") {
+    pos_ += 4;
+    return true;
+  }
+  if (text_.substr(pos_, 5) == "false") {
+    pos_ += 5;
+    return false;
+  }
+  fail("bad literal");
+}
+
+double JsonReader::read_number() {
+  skip_ws();
+  const std::size_t start = pos_;
+  const auto digit = [&] {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  };
+  const bool negative = pos_ < text_.size() && text_[pos_] == '-';
+  if (negative) ++pos_;
+  if (!digit()) fail("expected a value");
+  const std::size_t digits_start = pos_;
+  std::uint64_t whole = 0;  // wraps past 19 digits; only read up to 15
+  while (digit()) whole = whole * 10 + static_cast<unsigned>(text_[pos_++] - '0');
+  const std::size_t digits_end = pos_;
+  while (digit() || (pos_ < text_.size() &&
+                     (text_[pos_] == '.' || text_[pos_] == 'e' ||
+                      text_[pos_] == 'E' || text_[pos_] == '+' ||
+                      text_[pos_] == '-')))
+    ++pos_;
+  // A plain integer of at most 15 digits is exact in a double, so it needs
+  // no general conversion (ids, offsets and sizes are these).
+  if (pos_ == digits_end && digits_end - digits_start <= 15) {
+    const auto d = static_cast<double>(whole);
+    return negative ? -d : d;
+  }
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  double d = 0;
+  const auto [end, ec] = std::from_chars(first, last, d);
+  // std::stod rejected what from_chars flags out of range and also every
+  // subnormal result (ERANGE); keep rejecting both.
+  if (ec != std::errc() || end != last || std::fpclassify(d) == FP_SUBNORMAL)
+    fail("bad number: " + std::string(first, last));
+  return d;
+}
+
+std::string_view JsonReader::read_string() {
+  skip_ws();
+  expect('"');
+  const std::size_t start = pos_;
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\')
+    ++pos_;
+  if (pos_ >= text_.size()) fail("unterminated string");
+  if (text_[pos_] == '"') return text_.substr(start, pos_++ - start);
+  return read_escaped(start);
+}
+
+// The string from `start` (just past the opening quote) up to pos_ has no
+// escapes; pos_ is at a backslash. Decode the rest into scratch_.
+std::string_view JsonReader::read_escaped(std::size_t start) {
+  scratch_.assign(text_, start, pos_ - start);
+  while (true) {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return scratch_;
+    if (c != '\\') {
+      scratch_.push_back(c);
+      continue;
+    }
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    switch (text_[pos_++]) {
+      case '"': scratch_.push_back('"'); break;
+      case '\\': scratch_.push_back('\\'); break;
+      case '/': scratch_.push_back('/'); break;
+      case 'n': scratch_.push_back('\n'); break;
+      case 't': scratch_.push_back('\t'); break;
+      case 'r': scratch_.push_back('\r'); break;
+      case 'b': scratch_.push_back('\b'); break;
+      case 'f': scratch_.push_back('\f'); break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else fail("bad hex digit in \\u escape");
+        }
+        // Encode as UTF-8 (BMP only; surrogate pairs unsupported — the
+        // synthesized corpora are ASCII).
+        if (code < 0x80) {
+          scratch_.push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          scratch_.push_back(static_cast<char>(0xC0 | (code >> 6)));
+          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          scratch_.push_back(static_cast<char>(0xE0 | (code >> 12)));
+          scratch_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
+      }
+      default: fail("unknown escape");
+    }
+  }
+}
+
+void JsonReader::enter(char open) {
+  skip_ws();
+  if (++depth_ > kJsonMaxDepth)
+    fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+  expect(open);
+  first_ = true;
+}
+
+void JsonReader::begin_array() { enter('['); }
+void JsonReader::begin_object() { enter('{'); }
+
+bool JsonReader::next_in(char close) {
+  skip_ws();
+  if (next_char() == close) {
+    ++pos_;
+    --depth_;
+    first_ = false;
+    return false;
+  }
+  if (first_) first_ = false;
+  else expect(',');
+  return true;
+}
+
+bool JsonReader::next_element() { return next_in(']'); }
+
+bool JsonReader::next_member(std::string_view& key) {
+  if (!next_in('}')) return false;
+  key = read_string();
+  skip_ws();
+  expect(':');
+  return true;
+}
+
+void JsonReader::skip() {
+  switch (peek()) {
+    case Kind::Null: read_null(); break;
+    case Kind::Bool: read_bool(); break;
+    case Kind::Number: read_number(); break;
+    case Kind::String: read_string(); break;
+    case Kind::Array:
+      begin_array();
+      while (next_element()) skip();
+      break;
+    case Kind::Object:
+      begin_object();
+      for (std::string_view key; next_member(key);) skip();
+      break;
+  }
+}
+
+void JsonReader::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing characters after JSON value");
+}
+
+// --- Json -------------------------------------------------------------------
 
 Json::Type Json::type() const {
   switch (value_.index()) {
@@ -353,10 +377,13 @@ std::size_t Json::size() const {
 }
 
 void Json::dump_to(std::string& out, bool pretty, int indent) const {
-  const std::string pad = pretty ? std::string(static_cast<std::size_t>(indent) * 2, ' ') : "";
-  const std::string pad_in =
-      pretty ? std::string(static_cast<std::size_t>(indent + 1) * 2, ' ') : "";
-  const char* nl = pretty ? "\n" : "";
+  // Pretty output puts each element on its own line, indented two spaces
+  // per level, and the closing bracket on a line at the container's level.
+  const auto newline = [&](int level) {
+    if (!pretty) return;
+    out.push_back('\n');
+    out.append(static_cast<std::size_t>(level) * 2, ' ');
+  };
   switch (type()) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += as_bool() ? "true" : "false"; break;
@@ -368,16 +395,14 @@ void Json::dump_to(std::string& out, bool pretty, int indent) const {
         out += "[]";
         break;
       }
-      out += "[";
-      out += nl;
+      out.push_back('[');
       for (std::size_t i = 0; i < arr.size(); ++i) {
-        out += pad_in;
+        if (i > 0) out.push_back(',');
+        newline(indent + 1);
         arr[i].dump_to(out, pretty, indent + 1);
-        if (i + 1 < arr.size()) out += ",";
-        out += nl;
       }
-      out += pad;
-      out += "]";
+      newline(indent);
+      out.push_back(']');
       break;
     }
     case Type::Object: {
@@ -386,18 +411,16 @@ void Json::dump_to(std::string& out, bool pretty, int indent) const {
         out += "{}";
         break;
       }
-      out += "{";
-      out += nl;
+      out.push_back('{');
       for (std::size_t i = 0; i < obj.size(); ++i) {
-        out += pad_in;
+        if (i > 0) out.push_back(',');
+        newline(indent + 1);
         append_escaped(out, obj[i].first);
         out += pretty ? ": " : ":";
         obj[i].second.dump_to(out, pretty, indent + 1);
-        if (i + 1 < obj.size()) out += ",";
-        out += nl;
       }
-      out += pad;
-      out += "}";
+      newline(indent);
+      out.push_back('}');
       break;
     }
   }
@@ -410,7 +433,10 @@ std::string Json::dump(bool pretty, int indent) const {
 }
 
 Json Json::parse(std::string_view text) {
-  return Parser(text).parse_document();
+  JsonReader reader(text);
+  Json doc = build(reader);
+  reader.finish();
+  return doc;
 }
 
 std::optional<Json> Json::try_parse(std::string_view text) {

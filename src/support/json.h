@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -24,10 +25,122 @@ namespace firmres::support {
 
 class Json;
 
-/// Deepest array/object nesting Json::parse accepts. The parser and the
-/// DOM recurse once per level, so without a bound a few hundred kilobytes
-/// of `[` overflow the stack; deeper input raises ParseError instead.
+/// Deepest array/object nesting JsonReader accepts. Its callers (the DOM
+/// builder, the DOM itself, skip()) recurse once per level, so without a
+/// bound a few hundred kilobytes of `[` overflow the stack; deeper input
+/// raises ParseError instead.
 inline constexpr int kJsonMaxDepth = 512;
+
+/// Pull tokenizer over one JSON document, and the one JSON tokenizer:
+/// Json::parse builds its DOM over it, and decoders that know their schema
+/// (ir::program_from_json) read values straight from it with no DOM in
+/// between. Malformed input raises ParseError "JSON parse error
+/// at offset N: …"; nesting deeper than kJsonMaxDepth is malformed.
+///
+/// peek() names the kind of the next value; the caller then consumes it
+/// with the matching read_* call, walks it as a container, or skip()s it:
+///
+///   r.begin_object();
+///   for (std::string_view key; r.next_member(key);) { /* one value */ }
+///   r.begin_array();
+///   while (r.next_element()) { /* one value */ }
+///
+/// A reader is a small value; a copy is a bookmark that reads on from
+/// where the copy was made (over the same text, which must outlive both).
+class JsonReader {
+ public:
+  enum class Kind { Null, Bool, Number, String, Array, Object };
+
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Byte offset of the next unread character.
+  std::size_t offset() const { return pos_; }
+
+  /// Kind of the next value (whitespace skipped). A character that starts
+  /// no value reads as Number, so read_number reports it.
+  Kind peek() {
+    skip_ws();
+    switch (next_char()) {
+      case '{': return Kind::Object;
+      case '[': return Kind::Array;
+      case '"': return Kind::String;
+      case 't':
+      case 'f': return Kind::Bool;
+      case 'n': return Kind::Null;
+      default: return Kind::Number;
+    }
+  }
+
+  void read_null();
+  bool read_bool();
+  /// Parsed with std::from_chars, accepting what std::stod accepts over
+  /// the same characters: out-of-range magnitudes (1e999) and subnormal
+  /// results (1e-310) are malformed.
+  double read_number();
+  /// The next string, unescaped. The view points into the document when
+  /// the string has no escapes and into the reader's scratch buffer
+  /// otherwise; it stays valid until the next read_string or next_member.
+  std::string_view read_string();
+
+  /// Enter an array; then next_element() before each element, which
+  /// returns false (having consumed the `]`) after the last.
+  void begin_array();
+  bool next_element();
+  /// Enter an object; then next_member() before each value, which sets
+  /// `key` (valid like a read_string view) or returns false (having
+  /// consumed the `}`) after the last member.
+  void begin_object();
+  bool next_member(std::string_view& key);
+
+  /// Consume the next value, whatever its kind, checking its syntax.
+  void skip();
+
+  /// Require that only whitespace follows the value just read.
+  void finish();
+
+  [[noreturn]] void fail(std::string_view msg) const;
+
+ private:
+  void skip_ws() {
+    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' ||
+                                   text_[pos_] == '\t' || text_[pos_] == '\r'))
+      ++pos_;
+  }
+  /// The character at pos_; fails at end of input.
+  char next_char() {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
+  }
+  void expect(char c) {
+    if (next_char() != c) fail_expected(c);
+    ++pos_;
+  }
+  [[noreturn]] void fail_expected(char c) const;
+  void enter(char open);
+  /// Shared by next_element/next_member: false after consuming `close`.
+  bool next_in(char close);
+  std::string_view read_escaped(std::size_t start);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;
+  bool first_ = false;  ///< a container was just entered
+  std::string scratch_;
+};
+
+/// `d` cast to the integer type T exactly as static_cast does, or nullopt
+/// when `d` is negative or the cast would overflow T (undefined behaviour).
+/// JSON carries integers as doubles; every integer the loaders read is a
+/// non-negative id, count, offset or address.
+template <class T>
+std::optional<T> checked_integer(double d) {
+  // 2^digits, built without shifting a 64-bit one by 64.
+  constexpr double kLimit =
+      2.0 * static_cast<double>(std::uint64_t{1}
+                                << (std::numeric_limits<T>::digits - 1));
+  if (!(d >= 0.0 && d < kLimit)) return std::nullopt;
+  return static_cast<T>(d);
+}
 
 using JsonArray = std::vector<Json>;
 /// Insertion-ordered object representation.
@@ -81,8 +194,9 @@ class Json {
   /// as an element of a pretty-printed top-level array.
   std::string dump(bool pretty = false, int indent = 0) const;
 
-  /// Parse a complete JSON document. Throws ParseError on malformed input,
-  /// including nesting deeper than kJsonMaxDepth.
+  /// Parse a complete JSON document into a DOM (built over JsonReader).
+  /// Throws ParseError on malformed input, including nesting deeper than
+  /// kJsonMaxDepth.
   static Json parse(std::string_view text);
 
   /// Parse, returning nullopt instead of throwing (for probing code paths

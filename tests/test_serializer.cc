@@ -1,6 +1,8 @@
-// Serialization tests: program JSON round trips, firmware-image directory
-// round trips (including analysis equivalence), and malformed-input
-// failure injection.
+// Serialization tests: program JSON round trips, the one-pass program
+// decoder's contract (docs/IR.md "Decoding": equivalence with the
+// synthesized programs, free key order, typed errors), firmware-image
+// directory round trips (including analysis equivalence), and
+// malformed-input failure injection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include "firmware/serializer.h"
 #include "firmware/synthesizer.h"
 #include "ir/serializer.h"
+#include "support/rng.h"
 
 namespace firmres {
 namespace {
@@ -37,7 +40,7 @@ TEST(ProgramSerializer, RoundTripIsStable) {
   const fw::FirmwareImage image = fw::synthesize(fw::profile_by_id(11));
   const auto* exec = image.file(image.truth.device_cloud_executable);
   const support::Json doc = ir::program_to_json(*exec->program);
-  const auto restored = ir::program_from_json(doc);
+  const auto restored = ir::program_from_json(doc.dump());
   // Re-serializing the restored program must yield the identical document.
   EXPECT_EQ(ir::program_to_json(*restored).dump(), doc.dump());
 }
@@ -46,7 +49,7 @@ TEST(ProgramSerializer, PreservesStructure) {
   const fw::FirmwareImage image = fw::synthesize(fw::profile_by_id(5));
   const auto* exec = image.file(image.truth.device_cloud_executable);
   const auto restored =
-      ir::program_from_json(ir::program_to_json(*exec->program));
+      ir::program_from_json(ir::program_to_json(*exec->program).dump());
   EXPECT_EQ(restored->name(), exec->program->name());
   EXPECT_EQ(restored->total_op_count(), exec->program->total_op_count());
   EXPECT_EQ(restored->local_functions().size(),
@@ -64,28 +67,212 @@ TEST(ProgramSerializer, PreservesStructure) {
 }
 
 TEST(ProgramSerializer, RejectsMalformedDocuments) {
-  using support::Json;
   using support::ParseError;
-  EXPECT_THROW(ir::program_from_json(Json::parse("[]")), ParseError);
-  EXPECT_THROW(ir::program_from_json(Json::parse("{\"format\":\"x\"}")),
-               ParseError);
-  EXPECT_THROW(ir::program_from_json(Json::parse(
-                   R"({"format":"firmres-program","name":"p"})")),
-               ParseError);  // missing strings/functions
+  EXPECT_THROW(ir::program_from_json("[]"), ParseError);
+  EXPECT_THROW(ir::program_from_json("{\"format\":\"x\"}"), ParseError);
   EXPECT_THROW(
-      ir::program_from_json(Json::parse(
-          R"({"format":"firmres-program","name":"p","strings":[["x"]],"functions":[]})")),
+      ir::program_from_json(R"({"format":"firmres-program","name":"p"})"),
+      ParseError);  // missing strings/functions
+  EXPECT_THROW(
+      ir::program_from_json(
+          R"({"format":"firmres-program","name":"p","strings":[["x"]],"functions":[]})"),
       ParseError);  // bad string entry
 }
 
 TEST(ProgramSerializer, RejectsUnknownOpcodeAndSpace) {
-  using support::Json;
   const char* doc = R"({
     "format":"firmres-program","name":"p","strings":[],
     "functions":[{"name":"f","entry":256,"import":false,"params":[],
       "symbols":[],"blocks":[{"id":0,"succ":[],
         "ops":[{"addr":1,"op":"NOT_AN_OP","in":[]}]}]}]})";
-  EXPECT_THROW(ir::program_from_json(Json::parse(doc)), support::ParseError);
+  EXPECT_THROW(ir::program_from_json(doc), support::ParseError);
+}
+
+// The decoded program must be the synthesized one, not only re-encode to
+// the same bytes: the document does not carry FuncIds or the resolved
+// callee_fn / lib_id, so those are checked op by op.
+void expect_same_program(const ir::Program& want, const ir::Program& got,
+                         int* forward_calls) {
+  EXPECT_EQ(ir::program_to_json(got).dump(), ir::program_to_json(want).dump());
+  ASSERT_EQ(got.functions().size(), want.functions().size());
+  for (std::size_t f = 0; f < want.functions().size(); ++f) {
+    const ir::Function& wf = *want.functions()[f];
+    const ir::Function& gf = *got.functions()[f];
+    ASSERT_EQ(gf.name(), wf.name());
+    EXPECT_EQ(gf.id(), wf.id());
+    EXPECT_EQ(gf.entry_address(), wf.entry_address());
+    ASSERT_EQ(gf.blocks().size(), wf.blocks().size());
+    for (std::size_t b = 0; b < wf.blocks().size(); ++b) {
+      const auto& wops = wf.blocks()[b].ops;
+      const auto& gops = gf.blocks()[b].ops;
+      ASSERT_EQ(gops.size(), wops.size());
+      for (std::size_t k = 0; k < wops.size(); ++k) {
+        EXPECT_EQ(gops[k].callee, wops[k].callee);
+        EXPECT_EQ(gops[k].callee_fn, wops[k].callee_fn)
+            << want.name() << " " << wf.name() << " calls " << wops[k].callee;
+        EXPECT_EQ(gops[k].lib_id, wops[k].lib_id);
+        if (wops[k].callee_fn != ir::kNoFunc && wops[k].callee_fn > wf.id())
+          ++*forward_calls;
+      }
+    }
+  }
+}
+
+TEST(ProgramDecoder, LoadImageReproducesEverySynthesizedProgram) {
+  std::vector<fw::FirmwareImage> images = fw::synthesize_corpus();
+  for (auto* more : {&fw::synthesize_memory_corpus, &fw::synthesize_sdk_corpus})
+    for (fw::FirmwareImage& image : more()) images.push_back(std::move(image));
+  int programs = 0;
+  int forward_calls = 0;
+  for (const fw::FirmwareImage& image : images) {
+    TempDir dir;
+    fw::save_image(image, dir.path());
+    const fw::FirmwareImage restored = fw::load_image(dir.path());
+    ASSERT_EQ(restored.files.size(), image.files.size());
+    for (std::size_t i = 0; i < image.files.size(); ++i) {
+      if (image.files[i].program == nullptr) continue;
+      ASSERT_NE(restored.files[i].program, nullptr);
+      expect_same_program(*image.files[i].program, *restored.files[i].program,
+                          &forward_calls);
+      ++programs;
+    }
+  }
+  EXPECT_GT(programs, 100);
+  // Imports are registered at their first call, after the caller: calls to
+  // functions defined later in the document are the common case.
+  EXPECT_GT(forward_calls, 1000);
+}
+
+// Rewrite every object of `doc` with its members in a new order: reversed
+// (so the top level reads "functions" before "name" and each function
+// reads "blocks" before "name" and "import") or shuffled by `rng`.
+support::Json reorder(const support::Json& doc, support::Rng* rng) {
+  if (doc.is_array()) {
+    support::JsonArray out;
+    for (const support::Json& v : doc.as_array()) out.push_back(reorder(v, rng));
+    return support::Json(std::move(out));
+  }
+  if (!doc.is_object()) return doc;
+  support::JsonObject out;
+  for (const auto& [key, value] : doc.as_object())
+    out.emplace_back(key, reorder(value, rng));
+  if (rng != nullptr) rng->shuffle(out);
+  else std::reverse(out.begin(), out.end());
+  out.emplace_back("unknown", support::Json(support::JsonArray{1, "x"}));
+  return support::Json(std::move(out));
+}
+
+TEST(ProgramDecoder, AnyKeyOrderDecodes) {
+  const fw::FirmwareImage image = fw::synthesize(fw::profile_by_id(7));
+  support::Rng rng(16);
+  int forward_calls = 0;
+  for (const ir::Program* program : image.executables()) {
+    const support::Json doc = ir::program_to_json(*program);
+    for (support::Rng* order : {static_cast<support::Rng*>(nullptr), &rng}) {
+      const std::string text = reorder(doc, order).dump();
+      ASSERT_NE(text, doc.dump());
+      expect_same_program(*program, *ir::program_from_json(text),
+                          &forward_calls);
+    }
+  }
+  EXPECT_GT(forward_calls, 0);
+}
+
+// A program document small enough to edit by hand: f calls g, which is
+// defined after it.
+constexpr const char* kTwoFunctions = R"({
+  "format":"firmres-program","version":1,"name":"p","strings":[[4194304,"k"]],
+  "functions":[
+    {"name":"f","entry":4352,"import":false,"params":[],
+     "symbols":[{"var":["register",0,4],"type":"Local","name":"x","id":1}],
+     "blocks":[{"id":0,"succ":[],
+       "ops":[{"addr":16,"op":"CALL","in":[["const",4608,4]],"callee":"g"}]}]},
+    {"name":"g","entry":4608,"import":false,"params":[],"symbols":[],
+     "blocks":[]}]})";
+
+std::string replace_once(std::string text, const std::string& from,
+                         const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+// Decoding `text` must raise ParseError (never another exception) whose
+// message contains every string of `expect`.
+void expect_parse_error(const std::string& text,
+                        std::initializer_list<const char*> expect) {
+  try {
+    (void)ir::program_from_json(text);
+    ADD_FAILURE() << "decoded: " << text;
+  } catch (const support::ParseError& e) {
+    for (const char* part : expect)
+      EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
+          << e.what() << " lacks " << part;
+  }
+}
+
+TEST(ProgramDecoder, ForwardCallResolvesToTheLaterFunction) {
+  const auto program = ir::program_from_json(kTwoFunctions);
+  const ir::PcodeOp& call = program->function("f")->blocks()[0].ops[0];
+  EXPECT_EQ(call.callee, "g");
+  EXPECT_EQ(call.callee_fn, program->function_id("g"));
+  EXPECT_EQ(call.callee_fn, 1u);
+}
+
+TEST(ProgramDecoder, DuplicateFieldsAreParseErrors) {
+  const std::string doc = kTwoFunctions;
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {R"("name":"p",)", R"("name":"p","name":"q",)"},
+           {R"("entry":4352,)", R"("entry":4352,"entry":4352,)"},
+           {R"("id":1})", R"("id":1,"id":1})"},
+           {R"("succ":[],)", R"("succ":[],"succ":[],)"},
+           {R"("addr":16,)", R"("addr":16,"addr":16,)"},
+       }) {
+    const std::string field = from.substr(1, from.find('"', 1) - 1);
+    expect_parse_error(replace_once(doc, from, to),
+                       {("'" + field + "'").c_str(), "duplicate", "offset"});
+  }
+  // A repeated unknown member is ignored, as the DOM decoder did.
+  EXPECT_NO_THROW((void)ir::program_from_json(
+      replace_once(doc, R"("version":1,)", R"("version":1,"version":2,)")));
+  // Two functions of one name are a ParseError, not a failed invariant.
+  expect_parse_error(replace_once(doc, R"("name":"g")", R"("name":"f")"),
+                     {"duplicate function 'f'"});
+}
+
+TEST(ProgramDecoder, WrongTypedMissingAndOutOfRangeFieldsAreParseErrors) {
+  const std::string doc = kTwoFunctions;
+  const auto edit = [&](const char* from, const char* to) {
+    return replace_once(doc, from, to);
+  };
+  expect_parse_error(edit(R"("addr":16)", R"("addr":"16")"),
+                     {"'addr' at offset", "expected a number"});
+  expect_parse_error(edit(R"("import":false,"params")", R"("import":0,"params")"),
+                     {"'import' at offset", "expected a bool"});
+  expect_parse_error(edit(R"("callee":"g")", R"("callee":7)"),
+                     {"'callee' at offset", "expected a string"});
+  expect_parse_error(edit(R"("in":[["const")", R"("in":[[1)"),
+                     {"'in' at offset", "expected a string"});
+  expect_parse_error(edit(R"("succ":[])", R"("succ":{})"),
+                     {"'succ' at offset", "expected an array"});
+  expect_parse_error(edit(R"(["register",0,4])", R"(["register",0])"),
+                     {"'var' at offset", "[space, offset, size]"});
+  expect_parse_error(edit(R"("type":"Local",)", ""),
+                     {"missing field 'type'", "symbol at offset"});
+  expect_parse_error(edit(R"("addr":16,)", ""),
+                     {"missing field 'addr'", "op at offset"});
+  expect_parse_error(edit(R"("addr":16)", R"("addr":-16)"),
+                     {"'addr' at offset", "out of range"});
+  expect_parse_error(edit(R"(["register",0,4])", R"(["register",0,4294967296])"),
+                     {"'var' at offset", "out of range"});
+  expect_parse_error(edit(R"("entry":4352)", R"("entry":1e300)"),
+                     {"'entry' at offset", "out of range"});
+  expect_parse_error(edit(R"({"id":0,)", R"({"id":-1,)"),
+                     {"'id' at offset", "out of range"});
+  // In-range numbers are cast from double as before: 16.75 is address 16.
+  EXPECT_EQ(ir::program_from_json(edit(R"("addr":16)", R"("addr":16.75)"))
+                ->function("f")->blocks()[0].ops[0].address,
+            16u);
 }
 
 TEST(DataSegment, InternAtRestoresOffsets) {
@@ -184,6 +371,32 @@ TEST(ImageSerializer, TruthSectionOptional) {
   const core::KeywordModel model;
   const core::DeviceAnalysis analysis = core::Pipeline(model).analyze(restored);
   EXPECT_FALSE(analysis.messages.empty());
+}
+
+// Manifest fields of the wrong type or out of range are ParseErrors (they
+// used to fail a FIRMRES_CHECK inside the JSON accessors).
+TEST(ImageSerializer, WrongTypedManifestFieldsAreParseErrors) {
+  const fw::FirmwareImage image = fw::synthesize(fw::profile_by_id(6));
+  TempDir dir;
+  fw::save_image(image, dir.path());
+  const support::Json good = fw::manifest_to_json(image);
+  const auto edited = [&](const char* section, const char* key,
+                          support::Json value) {
+    support::Json manifest = good;
+    for (auto& [name, part] : manifest.as_object())
+      if (name == section) part.set(key, std::move(value));
+    return manifest;
+  };
+  for (const support::Json& manifest :
+       {edited("profile", "id", support::Json("6")),
+        edited("profile", "num_messages", support::Json(-1)),
+        edited("profile", "script_based", support::Json(0)),
+        edited("profile", "noise_field_rate", support::Json(nullptr)),
+        edited("nvram", "lan_hwaddr", support::Json(7))}) {
+    std::ofstream(dir.path() / "manifest.json") << manifest.dump(true);
+    EXPECT_THROW(fw::load_image(dir.path()), support::ParseError)
+        << manifest.dump().substr(0, 200);
+  }
 }
 
 TEST(ImageSerializer, MissingManifestThrows) {

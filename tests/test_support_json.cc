@@ -1,10 +1,14 @@
-// Unit tests for the JSON model: parsing, serialization, ordering (field
-// order is load-bearing for §IV-D), and error handling.
+// Unit tests for the JSON model: the pull reader, parsing, serialization,
+// ordering (field order is load-bearing for §IV-D), and error handling.
 #include "support/json.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace firmres::support {
 namespace {
@@ -84,6 +88,127 @@ TEST(JsonParse, NestingDepthIsBounded) {
   // Deep enough to overflow the stack of an unbounded recursive parser.
   EXPECT_THROW(Json::parse(std::string(300000, '[')), ParseError);
   EXPECT_FALSE(Json::try_parse(std::string(300000, '[')).has_value());
+}
+
+// The messages and offsets of the parser JsonReader replaced (each
+// checked against it).
+TEST(JsonParse, ErrorMessagesNameTheOffset) {
+  for (const auto& [text, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"", "offset 0: unexpected end of input"},
+           {"{\"a\"}", "offset 4: expected ':'"},
+           {"{\"a\":}", "offset 5: expected a value"},
+           {"tru", "offset 0: bad literal"},
+           {"\"open", "offset 5: unterminated string"},
+           {"{\"a\":1}x", "offset 7: trailing characters after JSON value"},
+           {"[1 2]", "offset 3: expected ','"},
+           {"[1,]", "offset 3: expected a value"},
+           {"{\"a\":1,}", "offset 7: expected '\"'"},
+           {"\"\\u12G4\"", "offset 6: bad hex digit in \\u escape"},
+       }) {
+    try {
+      (void)Json::parse(text);
+      ADD_FAILURE() << "parsed: " << text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), "JSON parse error at " + message);
+    }
+  }
+}
+
+// Numbers go through std::from_chars; these are the outcomes std::stod
+// gave, which the reader keeps.
+TEST(JsonParse, NumbersAcceptWhatStodAccepted) {
+  EXPECT_EQ(Json::parse("1.").as_number(), 1.0);
+  EXPECT_EQ(Json::parse("01").as_number(), 1.0);
+  const double minus_zero = Json::parse("-0").as_number();
+  EXPECT_EQ(minus_zero, 0.0);
+  EXPECT_TRUE(std::signbit(minus_zero));
+  EXPECT_EQ(Json::parse("1.e5").as_number(), 100000.0);
+  EXPECT_EQ(Json::parse("1.7976931348623157e308").as_number(),
+            1.7976931348623157e308);
+  for (const char* bad : {"1e", "-", "1e999", "-1e999", "1e-310", "1e-400",
+                          "1.5.3", "1-2", "-.5"}) {
+    try {
+      (void)Json::parse(bad);
+      ADD_FAILURE() << "parsed: " << bad;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("JSON parse error at offset"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(JsonReader, PullsValuesInDocumentOrder) {
+  const std::string text = R"( {"a": [1, "x"], "b": {"c": null}, "d": true} )";
+  JsonReader r(text);
+  ASSERT_EQ(r.peek(), JsonReader::Kind::Object);
+  r.begin_object();
+  std::string_view key;
+  ASSERT_TRUE(r.next_member(key));
+  EXPECT_EQ(key, "a");
+  ASSERT_EQ(r.peek(), JsonReader::Kind::Array);
+  r.begin_array();
+  ASSERT_TRUE(r.next_element());
+  EXPECT_EQ(r.read_number(), 1.0);
+  ASSERT_TRUE(r.next_element());
+  EXPECT_EQ(r.read_string(), "x");
+  EXPECT_FALSE(r.next_element());
+  ASSERT_TRUE(r.next_member(key));
+  EXPECT_EQ(key, "b");
+  r.skip();
+  ASSERT_TRUE(r.next_member(key));
+  EXPECT_EQ(key, "d");
+  EXPECT_EQ(r.peek(), JsonReader::Kind::Bool);
+  EXPECT_TRUE(r.read_bool());
+  EXPECT_FALSE(r.next_member(key));
+  r.finish();
+  EXPECT_EQ(r.offset(), text.size());
+}
+
+TEST(JsonReader, UnescapedStringsAreViewsIntoTheText) {
+  const std::string text = R"(["plain", "esc\"aped"])";
+  JsonReader r(text);
+  r.begin_array();
+  ASSERT_TRUE(r.next_element());
+  const std::string_view plain = r.read_string();
+  EXPECT_EQ(plain, "plain");
+  EXPECT_EQ(plain.data(), text.data() + 2);
+  ASSERT_TRUE(r.next_element());
+  const std::string_view escaped = r.read_string();
+  EXPECT_EQ(escaped, "esc\"aped");
+  EXPECT_TRUE(escaped.data() < text.data() ||
+              escaped.data() >= text.data() + text.size());
+}
+
+TEST(JsonReader, CopyIsABookmark) {
+  const std::string text = R"({"later": [1, 2], "now": 3})";
+  JsonReader r(text);
+  r.begin_object();
+  std::string_view key;
+  ASSERT_TRUE(r.next_member(key));
+  JsonReader bookmark = r;
+  r.skip();
+  ASSERT_TRUE(r.next_member(key));
+  EXPECT_EQ(r.read_number(), 3.0);
+  EXPECT_FALSE(r.next_member(key));
+  r.finish();
+  // The bookmark reads the skipped value.
+  bookmark.begin_array();
+  double sum = 0;
+  while (bookmark.next_element()) sum += bookmark.read_number();
+  EXPECT_EQ(sum, 3.0);
+}
+
+TEST(JsonReader, CheckedIntegerRejectsWhatACastCannotHold) {
+  EXPECT_EQ(checked_integer<int>(5.9), 5);
+  EXPECT_EQ(checked_integer<int>(-0.0), 0);
+  EXPECT_FALSE(checked_integer<int>(-1.0).has_value());
+  EXPECT_FALSE(checked_integer<int>(2147483648.0).has_value());
+  EXPECT_EQ(checked_integer<std::uint32_t>(4294967295.0), 4294967295u);
+  EXPECT_FALSE(checked_integer<std::uint32_t>(4294967296.0).has_value());
+  EXPECT_FALSE(
+      checked_integer<std::uint64_t>(18446744073709551616.0).has_value());
+  EXPECT_FALSE(checked_integer<std::uint64_t>(1e300).has_value());
 }
 
 TEST(JsonDump, RoundTrip) {

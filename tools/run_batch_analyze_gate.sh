@@ -8,8 +8,9 @@
 #   - a copy of device 03 whose manifest names another vendor, placed
 #     first, and a copy of device 07, placed last among the good dirs, so
 #     both device ids are shared by two directories;
-#   - a nonexistent directory, one whose manifest is garbage, and one whose
-#     manifest nests 300 000 arrays deep (past the JSON depth limit).
+#   - a nonexistent directory, one whose manifest is garbage, one whose
+#     manifest nests 300 000 arrays deep (past the JSON depth limit), and a
+#     copy of device 05 whose first program document has a string "addr".
 #
 # Asserts:
 #   - `--jobs 1` and `--jobs 4` print the same reports once the timing keys
@@ -18,7 +19,8 @@
 #     <dir> --json` report of its own directory, in device-id order with
 #     ties in argument order;
 #   - stderr has one `skipping <dir>: …` line per bad directory, in
-#     argument order, and the exit code is 1;
+#     argument order (the bad program document's line names it), and the
+#     exit code is 1;
 #   - the text report prints each image under its own header (the edited
 #     copy shows its own vendor, the original its own);
 #   - the `--jobs 4 --profile-out` span profile shows `load.image` and
@@ -48,9 +50,11 @@ else
 fi
 
 "$FIRMRES" synth "$WORKDIR/corpus" >/dev/null
-rm -rf "$WORKDIR/dup07" "$WORKDIR/edited03" "$WORKDIR/single"
+rm -rf "$WORKDIR/dup07" "$WORKDIR/edited03" "$WORKDIR/badtype" "$WORKDIR/single"
 cp -r "$WORKDIR/corpus/device07" "$WORKDIR/dup07"
 cp -r "$WORKDIR/corpus/device03" "$WORKDIR/edited03"
+cp -r "$WORKDIR/corpus/device05" "$WORKDIR/badtype"
+sed -i 's/"addr":\([0-9]*\)/"addr":"\1"/' "$WORKDIR/badtype/programs/000.json"
 python3 - "$WORKDIR/edited03/manifest.json" <<'EOF'
 import json
 import sys
@@ -64,7 +68,7 @@ echo "not json" > "$WORKDIR/garbage/manifest.json"
 head -c 300000 /dev/zero | tr '\0' '[' > "$WORKDIR/deep/manifest.json"
 
 DIRS=("$WORKDIR/edited03" "$WORKDIR"/corpus/device* "$WORKDIR/missing"
-      "$WORKDIR/dup07" "$WORKDIR/garbage" "$WORKDIR/deep")
+      "$WORKDIR/dup07" "$WORKDIR/garbage" "$WORKDIR/deep" "$WORKDIR/badtype")
 printf '%s\n' "${DIRS[@]}" > "$WORKDIR/args.txt"
 
 run() {  # run <name> <analyze args...>: stdout/stderr/exit code to files
@@ -82,7 +86,7 @@ run text4 "${DIRS[@]}" --jobs 4
 mkdir -p "$WORKDIR/single"
 for i in "${!DIRS[@]}"; do
   if [[ -f "${DIRS[$i]}/manifest.json" && "${DIRS[$i]}" != */garbage &&
-        "${DIRS[$i]}" != */deep ]]; then
+        "${DIRS[$i]}" != */deep && "${DIRS[$i]}" != */badtype ]]; then
     "$FIRMRES" analyze "${DIRS[$i]}" --json > "$WORKDIR/single/$i.json"
   fi
 done
@@ -94,7 +98,8 @@ import sys
 
 work = sys.argv[1]
 dirs = open(os.path.join(work, "args.txt"), encoding="utf-8").read().split("\n")[:-1]
-bad = [d for d in dirs if d.endswith(("/missing", "/garbage", "/deep"))]
+bad = [d for d in dirs
+       if d.endswith(("/missing", "/garbage", "/deep", "/badtype"))]
 failures = []
 
 
@@ -132,11 +137,14 @@ for report, i in zip(jobs4, expected):
 for name in ("jobs1", "jobs4", "text4"):
     check(read(name + ".code").strip() == "1",
           "%s: exit code %s, expected 1" % (name, read(name + ".code").strip()))
-    skipped = [line.split(": ")[0][len("skipping "):]
-               for line in read(name + ".err").splitlines()
-               if line.startswith("skipping ")]
+    lines = [line for line in read(name + ".err").splitlines()
+             if line.startswith("skipping ")]
+    skipped = [line.split(": ")[0][len("skipping "):] for line in lines]
     check(skipped == bad, "%s: skipping lines %s, expected %s"
           % (name, skipped, bad))
+    check(any(line.startswith("skipping %s/badtype: " % work)
+              and "program document" in line for line in lines),
+          "%s: no skipping line names the bad program document" % name)
 
 headers = [line for line in read("text4.out").splitlines()
            if line.startswith("image: ")]
