@@ -1,5 +1,6 @@
 #include "core/mft.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/hash.h"
@@ -81,9 +82,11 @@ std::size_t Mft::leaf_count() const {
 }
 
 const TaintProvenance* Mft::provenance_of(int leaf_id) const {
-  for (const TaintProvenance& p : provenance)
-    if (p.leaf_id == leaf_id) return &p;
-  return nullptr;
+  // Records are in leaf_id order.
+  const auto it = std::lower_bound(
+      provenance.begin(), provenance.end(), leaf_id,
+      [](const TaintProvenance& p, int id) { return p.leaf_id < id; });
+  return it != provenance.end() && it->leaf_id == leaf_id ? &*it : nullptr;
 }
 
 std::vector<const MftNode*> Mft::leaves() const {

@@ -659,36 +659,39 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
   }
 
   // --- Phases 3+4: semantics recovery & field concatenation (§IV-C/D) ------
-  // The Reconstructor interleaves classification (per slice) with grouping
-  // and ordering; we attribute its time to the two phases by a second pass
-  // below. Classification dominates, so time it directly per message.
+  // Reconstructor::reconstruct_one does §IV-C slice/split/classify and §IV-D
+  // group/order/format in one call per MFT, all of it timed as semantics_s.
+  // concat_s times delivery into the analysis and the cache stores, which
+  // also have their own cache.store span.
   {
     FIRMRES_SPAN_DEVICE("phase.reconstruct", "pipeline", image.profile.id);
     const Reconstructor reconstructor(model_);
     // One delivery callsite's outcome enters the analysis — identically
-    // whether it was just reconstructed or rehydrated from the store.
-    const auto deliver = [&](const CachedMessage& m) {
+    // whether it was just reconstructed or rehydrated from the store. Its
+    // message moves into the analysis; a caller that still stores the
+    // outcome delivers a copy.
+    const auto deliver = [&](CachedMessage&& m) {
       PhaseTimer timer(out.timings.concat_s);
       emit_decision_event(out.device_id, m.decision);
-      out.mft_decisions.push_back(m.decision);
+      out.mft_decisions.push_back(std::move(m.decision));
       if (m.message.has_value()) {
         out.opaque_terminations += m.message->opaque_terminations;
         out.param_terminations += m.message->param_terminations;
         out.memory_terminations += m.message->memory_terminations;
         emit_message_events(out.device_id, *m.message);
-        out.messages.push_back(*m.message);
+        out.messages.push_back(std::move(*m.message));
       } else {
         ++out.discarded_lan;
       }
     };
     for (ProgramWork& work : per_program) {
       if (work.cached.has_value()) {
-        for (const CachedMessage& m : work.cached->messages) deliver(m);
+        for (CachedMessage& m : work.cached->messages) deliver(std::move(m));
         continue;
       }
       for (SiteOutcome& s : work.sites) {
         if (s.ready.has_value()) {
-          deliver(*s.ready);
+          deliver(CachedMessage(*s.ready));
           work.fresh.messages.push_back(std::move(*s.ready));
           continue;
         }
@@ -702,14 +705,17 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
         }
         m.mft_nodes = s.mft->node_count();
         m.mft_leaves = s.mft->leaf_count();
-        deliver(m);
-        if (cache != nullptr) {
-          if (s.group >= 0)
-            work.groups[static_cast<std::size_t>(s.group)].fresh.push_back(m);
-          work.fresh.messages.push_back(std::move(m));
+        if (cache == nullptr) {
+          deliver(std::move(m));
+          continue;
         }
+        deliver(CachedMessage(m));
+        if (s.group >= 0)
+          work.groups[static_cast<std::size_t>(s.group)].fresh.push_back(m);
+        work.fresh.messages.push_back(std::move(m));
       }
       if (cache != nullptr) {
+        FIRMRES_SPAN_DEVICE("cache.store", "cache", image.profile.id);
         PhaseTimer timer(out.timings.concat_s);
         for (FnGroup& group : work.groups) {
           if (group.from_cache) continue;

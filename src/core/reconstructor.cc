@@ -1,7 +1,7 @@
 #include "core/reconstructor.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 
 #include "ir/library.h"
 #include "support/strings.h"
@@ -134,15 +134,23 @@ std::optional<ReconstructedMessage> Reconstructor::reconstruct_one(
   const SliceGenerator slicer(mft, slice_options);
   const auto& slices = slicer.slices();
 
+  // Leaf ids are dense per MFT (assigned at construction), so per-leaf
+  // tables are vectors indexed by leaf_id.
+  std::size_t leaf_ids = 0;
+  for (const FieldSlice& s : slices)
+    leaf_ids =
+        std::max(leaf_ids, static_cast<std::size_t>(s.leaf->leaf_id) + 1);
+
   // --- semantics per slice -------------------------------------------------
-  std::map<int, ScoredClassification> scored;  // leaf_id → decision
+  std::vector<std::optional<ScoredClassification>> scored(leaf_ids);
   for (const FieldSlice& s : slices) {
     if (s.role != LeafRole::Field) continue;
-    scored[s.leaf->leaf_id] = model_.classify_scored(s.slice_text);
+    scored[static_cast<std::size_t>(s.leaf->leaf_id)] =
+        model_.classify_scored(s.slice_text);
   }
   const auto label_of = [&scored](int leaf_id) {
-    const auto it = scored.find(leaf_id);
-    return it == scored.end() ? fw::Primitive::None : it->second.label;
+    const auto& decision = scored[static_cast<std::size_t>(leaf_id)];
+    return decision.has_value() ? decision->label : fw::Primitive::None;
   };
 
   // --- §IV-D field grouping + LAN filter -----------------------------------
@@ -230,20 +238,17 @@ std::optional<ReconstructedMessage> Reconstructor::reconstruct_one(
     invert(*simplified);
     ordered_leaf_ids(*simplified, order);
   }
-  std::map<int, int> rank;
-  for (std::size_t i = 0; i < order.size(); ++i)
-    rank.emplace(order[i], static_cast<int>(i));
+  std::vector<int> rank(leaf_ids, 1 << 20);  // unordered leaves sort last
+  for (std::size_t i = order.size(); i-- > 0;)  // the first position wins
+    rank[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
 
   std::vector<const FieldSlice*> field_slices;
   for (const FieldSlice& s : slices)
     if (s.role == LeafRole::Field) field_slices.push_back(&s);
   std::sort(field_slices.begin(), field_slices.end(),
             [&rank](const FieldSlice* a, const FieldSlice* b) {
-              const auto ra = rank.find(a->leaf->leaf_id);
-              const auto rb = rank.find(b->leaf->leaf_id);
-              const int ia = ra == rank.end() ? 1 << 20 : ra->second;
-              const int ib = rb == rank.end() ? 1 << 20 : rb->second;
-              return ia < ib;
+              return rank[static_cast<std::size_t>(a->leaf->leaf_id)] <
+                     rank[static_cast<std::size_t>(b->leaf->leaf_id)];
             });
 
   // --- assemble -------------------------------------------------------------
@@ -255,15 +260,15 @@ std::optional<ReconstructedMessage> Reconstructor::reconstruct_one(
   msg.host = host;
   msg.format = format;
   msg.multi_field_formats = slicer.multi_field_formats();
-  for (const MftNode* leaf : mft.leaves()) {
-    if (leaf->kind == MftNodeKind::LeafOpaque) ++msg.opaque_terminations;
-    if (leaf->kind == MftNodeKind::LeafParam) ++msg.param_terminations;
-    if (leaf->kind == MftNodeKind::LeafMemory) ++msg.memory_terminations;
+  for (const FieldSlice& s : slices) {
+    if (s.leaf->kind == MftNodeKind::LeafOpaque) ++msg.opaque_terminations;
+    if (s.leaf->kind == MftNodeKind::LeafParam) ++msg.param_terminations;
+    if (s.leaf->kind == MftNodeKind::LeafMemory) ++msg.memory_terminations;
   }
 
   for (const FieldSlice* s : field_slices) {
     const MftNode* leaf = s->leaf;
-    const auto path = mft.path_to(leaf);
+    const std::vector<const MftNode*>& path = s->path;
     const MftNode* parent = path.size() >= 2 ? path[path.size() - 2] : nullptr;
 
     ReconstructedField field;
@@ -309,10 +314,10 @@ std::optional<ReconstructedMessage> Reconstructor::reconstruct_one(
     prov.split_score = s->split_score;
     prov.split_pieces = s->split_pieces;
     prov.model = model_.name();
-    const auto sit = scored.find(leaf->leaf_id);
-    if (sit != scored.end()) {
-      prov.label_scores = sit->second.scores;
-      prov.margin = sit->second.margin;
+    auto& decision = scored[static_cast<std::size_t>(leaf->leaf_id)];
+    if (decision.has_value()) {
+      prov.label_scores = std::move(decision->scores);
+      prov.margin = decision->margin;
     }
 
     msg.fields.push_back(std::move(field));

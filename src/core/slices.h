@@ -2,7 +2,9 @@
 //
 // For every leaf of an MFT we compute the slice of construction ops along
 // its root-to-leaf path, rendered in the semantically enriched P-Code form
-// ("CALL (Fun, sprintf) (Local, finalBuf, v_1357) (Cons, …)").
+// ("CALL (Fun, sprintf) (Local, finalBuf, v_1357) (Cons, …)"). One
+// depth-first walk per MFT produces every slice: each op is rendered and
+// each format string split once, however many leaves share them.
 //
 // Formatted-output assembly needs the extra separation step of §IV-C: a
 // sprintf format string covering several fields would put every field's
@@ -37,6 +39,8 @@ const char* leaf_role_name(LeafRole role);
 
 struct FieldSlice {
   const MftNode* leaf = nullptr;
+  /// Root-to-leaf path (inclusive), as Mft::path_to would return it.
+  std::vector<const MftNode*> path;
   LeafRole role = LeafRole::Structural;
   /// Enriched token stream for the classifier.
   std::string slice_text;
@@ -97,8 +101,10 @@ class SliceGenerator {
   static char identify_delimiter_scored(const std::string& fmt,
                                         double* score);
 
-  /// Single-link agglomerative clustering of substrings with
-  /// Similarity(a,b) = 2·LCS/(|a|+|b|) ≥ threshold.
+  /// Greedy average-link clustering of substrings: each piece joins the
+  /// cluster whose members are on average most similar to it, when that
+  /// average Similarity(a,b) = 2·LCS/(|a|+|b|) is ≥ threshold, and starts a
+  /// new cluster otherwise.
   static std::vector<std::vector<std::string>> cluster_pieces(
       const std::vector<std::string>& pieces, double threshold);
 
@@ -112,9 +118,6 @@ class SliceGenerator {
   static std::string path_prefix(const std::string& fmt);
 
  private:
-  void process_leaf(const Mft& mft, const MftNode* leaf);
-
-  Options options_;
   std::vector<FieldSlice> slices_;
   std::vector<std::string> multi_field_formats_;
 };

@@ -1,5 +1,11 @@
 #include "firmware/field_dictionary.h"
 
+#include <algorithm>
+#include <array>
+#include <cctype>
+#include <cstdint>
+
+#include "support/error.h"
 #include "support/strings.h"
 
 namespace firmres::fw {
@@ -139,34 +145,132 @@ const std::vector<FieldTemplate>& templates_for(Primitive p) {
   return kMeta;
 }
 
+namespace {
+
+/// The dictionary keys of keyword_label, lowered, in precedence order, as
+/// one Aho–Corasick automaton: a single pass over a text finds every key it
+/// contains, case-folded, with no allocation. Bytes map to classes first —
+/// one per character the keys use, class 0 for all others — so the dense
+/// table stays small (a few hundred states × ~28 classes, about 30 KB).
+class KeywordScanner {
+ public:
+  static constexpr std::uint16_t kNoKey = 0xffff;
+
+  explicit KeywordScanner(const std::vector<std::string>& keys) {
+    std::array<std::uint8_t, 256> class_of_key_char{};
+    for (const std::string& key : keys)
+      for (const char c : key)
+        if (class_of_key_char[static_cast<unsigned char>(c)] == 0)
+          class_of_key_char[static_cast<unsigned char>(c)] =
+              static_cast<std::uint8_t>(classes_++);
+    for (int b = 0; b < 256; ++b)
+      class_[static_cast<std::size_t>(b)] =
+          class_of_key_char[static_cast<unsigned char>(std::tolower(b))];
+
+    // Trie of the keys: edges[state × class], -1 for a missing edge; each
+    // state's lowest key index in best.
+    std::vector<int> edges(classes_, -1);
+    std::vector<std::uint16_t> best{kNoKey};
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      std::size_t state = 0;
+      for (const char c : keys[k]) {
+        const std::size_t edge =
+            state * classes_ + class_[static_cast<unsigned char>(c)];
+        if (edges[edge] < 0) {
+          edges[edge] = static_cast<int>(best.size());
+          edges.resize(edges.size() + classes_, -1);
+          best.push_back(kNoKey);
+        }
+        state = static_cast<std::size_t>(edges[edge]);
+      }
+      best[state] = std::min(best[state], static_cast<std::uint16_t>(k));
+    }
+    // Breadth-first: complete the transitions through the failure links
+    // and fold each state's failure-chain keys into its best key.
+    std::vector<std::size_t> fail(best.size(), 0), queue;
+    for (std::size_t c = 0; c < classes_; ++c) {
+      if (edges[c] < 0)
+        edges[c] = 0;
+      else
+        queue.push_back(static_cast<std::size_t>(edges[c]));
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t state = queue[head];
+      best[state] = std::min(best[state], best[fail[state]]);
+      for (std::size_t c = 0; c < classes_; ++c) {
+        int& to = edges[state * classes_ + c];
+        const int via_fail = edges[fail[state] * classes_ + c];
+        if (to < 0) {
+          to = via_fail;
+        } else {
+          fail[static_cast<std::size_t>(to)] =
+              static_cast<std::size_t>(via_fail);
+          queue.push_back(static_cast<std::size_t>(to));
+        }
+      }
+    }
+    // One row per state: its transitions as row offsets, then its best key,
+    // so a step is two loads from the same row.
+    const std::size_t width = classes_ + 1;
+    FIRMRES_CHECK(best.size() * width <= 0xffff);
+    table_.resize(best.size() * width);
+    for (std::size_t state = 0; state < best.size(); ++state) {
+      for (std::size_t c = 0; c < classes_; ++c)
+        table_[state * width + c] = static_cast<std::uint16_t>(
+            static_cast<std::size_t>(edges[state * classes_ + c]) * width);
+      table_[state * width + classes_] = best[state];
+    }
+  }
+
+  /// Index of the lowest-index key occurring in `text`; kNoKey if none.
+  std::uint16_t first_key(std::string_view text) const {
+    std::size_t row = 0;
+    std::uint16_t best = kNoKey;
+    for (const char c : text) {
+      row = table_[row + class_[static_cast<unsigned char>(c)]];
+      best = std::min(best, table_[row + classes_]);
+    }
+    return best;
+  }
+
+ private:
+  std::array<std::uint8_t, 256> class_{};  ///< byte → class of its lowercase
+  std::size_t classes_ = 1;                ///< class 0: no key has the byte
+  std::vector<std::uint16_t> table_;       ///< states × (classes + 1)
+};
+
+}  // namespace
+
 Primitive keyword_label(std::string_view text) {
   // Specific classes first: a slice mentioning both "deviceId" and
   // "timestamp" is about the identifier. Signature precedes DevSecret
   // because a derived credential's slice shows both the derivation ("sign",
   // "hmac") and the secret it reads ("dev_secret") — the wire field is the
-  // signature (§II-B form ②). None last by construction.
-  //
-  // Hot path: every slice runs every dictionary here, so the keys are
-  // pre-lowered once and the text lowered once per call, leaving plain
-  // substring finds in the scan.
-  static const std::vector<std::pair<std::string, Primitive>> kLoweredKeys =
-      [] {
-        static const Primitive kOrder[] = {
-            Primitive::Signature,     Primitive::BindToken,
-            Primitive::DevSecret,     Primitive::UserCred,
-            Primitive::DevIdentifier, Primitive::Address,
-        };
-        std::vector<std::pair<std::string, Primitive>> out;
-        for (const Primitive p : kOrder)
-          for (const FieldTemplate& t : templates_for(p))
-            out.emplace_back(support::to_lower(t.key), p);
-        return out;
-      }();
-  const std::string lowered = support::to_lower(text);
-  for (const auto& [key, p] : kLoweredKeys) {
-    if (lowered.find(key) != std::string::npos) return p;
-  }
-  return Primitive::None;
+  // signature (§II-B form ②). None last by construction. The label is the
+  // class of the first key in this order that occurs in the text.
+  struct Dictionary {
+    std::vector<Primitive> primitive_of;  ///< per key index
+    KeywordScanner scanner;
+  };
+  static const Dictionary kDictionary = [] {
+    static const Primitive kOrder[] = {
+        Primitive::Signature,     Primitive::BindToken,
+        Primitive::DevSecret,     Primitive::UserCred,
+        Primitive::DevIdentifier, Primitive::Address,
+    };
+    std::vector<std::string> keys;
+    std::vector<Primitive> primitive_of;
+    for (const Primitive p : kOrder) {
+      for (const FieldTemplate& t : templates_for(p)) {
+        keys.push_back(support::to_lower(t.key));
+        primitive_of.push_back(p);
+      }
+    }
+    return Dictionary{std::move(primitive_of), KeywordScanner(keys)};
+  }();
+  const std::uint16_t key = kDictionary.scanner.first_key(text);
+  return key == KeywordScanner::kNoKey ? Primitive::None
+                                       : kDictionary.primitive_of[key];
 }
 
 std::optional<Primitive> primitive_of_key(std::string_view key) {

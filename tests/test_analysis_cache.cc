@@ -29,6 +29,7 @@
 #include "support/json.h"
 #include "support/observability/events.h"
 #include "support/observability/metrics.h"
+#include "support/observability/trace.h"
 #include "support/rng.h"
 #include "support/strings.h"
 
@@ -224,6 +225,41 @@ TEST(CacheDifferential, CountersFlowToTheMetricsRegistry) {
 // ---------------------------------------------------------------------------
 // Store robustness: damaged entries are misses, never crashes
 // ---------------------------------------------------------------------------
+
+#if !defined(FIRMRES_OBSERVABILITY_DISABLED)
+TEST(CacheDifferential, StoresRunInsideACacheStoreSpan) {
+  // A profile separates the stores from §IV-C/D work: each cold program
+  // store runs in a cache.store span inside phase.reconstruct; a warm run
+  // stores nothing.
+  namespace trace = support::trace;
+  const fw::FirmwareImage image = fw::synthesize(fw::profile_by_id(2));
+  TempDir dir;
+  core::AnalysisCache cache({.dir = dir.str()});
+  const auto traced_spans = [&] {
+    trace::clear();
+    trace::set_enabled(true);
+    (void)analyze_one(image, &cache);
+    trace::set_enabled(false);
+    return trace::collect();
+  };
+  const std::vector<trace::Event> cold = traced_spans();
+  const trace::Event* phase = nullptr;
+  int stores = 0;
+  for (const trace::Event& e : cold) {
+    if (e.name == "phase.reconstruct") phase = &e;
+    if (e.name != "cache.store") continue;
+    ++stores;
+    ASSERT_NE(phase, nullptr);
+    EXPECT_EQ(e.device_id, 2);
+    EXPECT_GE(e.start_ns, phase->start_ns);
+    EXPECT_LE(e.start_ns + e.duration_ns,
+              phase->start_ns + phase->duration_ns);
+  }
+  EXPECT_EQ(stores, 1);  // one device-cloud program
+  for (const trace::Event& e : traced_spans())
+    EXPECT_NE(e.name, "cache.store");
+}
+#endif
 
 TEST(CacheRobustness, TruncatedEntriesFallBackToRecompute) {
   const fw::FirmwareImage image = fw::synthesize(fw::profile_by_id(3));

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/call_graph.h"
+#include "analysis/valueflow/valueflow.h"
 #include "core/taint.h"
 #include "ir/builder.h"
 
@@ -122,6 +123,60 @@ TEST(SliceGenerator, PieceSubstitutionKeepsSiblingsOut) {
   const FieldSlice* pw_slice = slice_with_key(gen.slices(), "password");
   ASSERT_NE(pw_slice, nullptr);
   EXPECT_EQ(pw_slice->slice_text.find("mac=%s"), std::string::npos);
+}
+
+TEST(SliceGenerator, TwoAssemblersSplitByTheirOwnFormatText) {
+  // Two sprintf assemblers in one MFT: one with a literal format, one whose
+  // format is a local filled by strcpy, known only through value flow. Each
+  // field takes its key, piece and split record from its own assembler's
+  // format text.
+  ir::Program prog("p");
+  ir::IRBuilder b(prog);
+  ir::FunctionBuilder f = b.function("send_msg");
+  const ir::VarNode mac = f.call("nvram_get", {f.cstr("lan_hwaddr")}, "m");
+  const ir::VarNode sn = f.call("nvram_get", {f.cstr("serial_no")}, "s");
+  const ir::VarNode tok = f.call("nvram_get", {f.cstr("bind_tok")}, "t");
+  const ir::VarNode sig = f.call("nvram_get", {f.cstr("sig_val")}, "g");
+  const ir::VarNode fmt = f.local("fmt", 64);
+  f.callv("strcpy", {fmt, f.cstr("token=%s&sign=%s&v=%s")});
+  const ir::VarNode head = f.local("head", 128);
+  f.callv("sprintf", {head, f.cstr("mac=%s&sn=%s"), mac, sn});
+  const ir::VarNode tail = f.local("tail", 128);
+  f.callv("sprintf", {tail, fmt, tok, sig, f.cnum(1)});
+  f.callv("strcat", {head, tail});
+  const ir::VarNode ssl = f.call("SSL_new", {}, "ssl");
+  f.callv("SSL_write", {ssl, head, f.cnum(32)});
+  f.ret();
+
+  const Mft mft = build_single(prog);
+  const analysis::ValueFlow vf(prog);
+  SliceGenerator::Options options;
+  options.valueflow = &vf;
+  const SliceGenerator gen(mft, options);
+  const struct {
+    const char* key;
+    const char* piece;
+    int pieces;
+  } kWant[] = {{"mac", "mac=%s", 2},
+               {"sn", "sn=%s", 2},
+               {"token", "token=%s", 3},
+               {"sign", "sign=%s", 3}};
+  for (const auto& want : kWant) {
+    const FieldSlice* s = slice_with_key(gen.slices(), want.key);
+    ASSERT_NE(s, nullptr) << want.key;
+    EXPECT_EQ(s->format_piece, want.piece);
+    EXPECT_EQ(s->split_delimiter, '&');
+    EXPECT_EQ(s->split_pieces, want.pieces);
+    EXPECT_GT(s->split_score, 0.0);
+  }
+  // Only a literal format operand is rendered, so only it is substituted.
+  const std::string& mac_text = slice_with_key(gen.slices(), "mac")->slice_text;
+  EXPECT_NE(mac_text.find("mac=%s"), std::string::npos);
+  EXPECT_EQ(mac_text.find("sn=%s"), std::string::npos);
+  // Without value flow the folded format is unknown: no keys from it.
+  const SliceGenerator bare(mft);
+  EXPECT_NE(slice_with_key(bare.slices(), "sn"), nullptr);
+  EXPECT_EQ(slice_with_key(bare.slices(), "token"), nullptr);
 }
 
 TEST(SliceGenerator, RoleClassification) {
