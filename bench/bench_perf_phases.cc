@@ -49,9 +49,10 @@ void print_perf() {
 
   std::printf("PERFORMANCE OF FIRMRES (per firmware image)\n");
   bench::print_rule();
-  std::printf("%-6s %-10s | %-9s %-9s %-9s %-9s %-9s\n", "Device",
-              "total(ms)", "pinpoint", "fields", "semantics", "concat",
-              "check");
+  std::printf("%-6s %-10s |", "Device", "total(ms)");
+  for (const core::Phase& phase : core::kPhases)
+    std::printf(" %-11s", phase.name);
+  std::printf("\n");
   bench::print_rule();
   double min_t = 1e9, max_t = 0;
   for (const auto& a : run.analyses) {
@@ -59,38 +60,28 @@ void print_perf() {
     const auto& t = a.timings;
     min_t = std::min(min_t, t.total_s());
     max_t = std::max(max_t, t.total_s());
-    std::printf("%-6d %-10.2f | %-9.2f %-9.2f %-9.2f %-9.2f %-9.2f\n",
-                a.device_id, 1e3 * t.total_s(), 1e3 * t.pinpoint_s,
-                1e3 * t.fields_s, 1e3 * t.semantics_s, 1e3 * t.concat_s,
-                1e3 * t.check_s);
+    std::printf("%-6d %-10.2f |", a.device_id, 1e3 * t.total_s());
+    for (const core::Phase& phase : core::kPhases)
+      std::printf(" %-11.2f", 1e3 * (t.*phase.slot));
+    std::printf("\n");
   }
   bench::print_rule();
   // Phase sums come from the registry's phase.*_us histograms rather than
-  // re-summing PhaseTimings — one source of truth for the split.
-  const double pinpoint_us =
-      static_cast<double>(histogram_sum(snap, "phase.pinpoint_us"));
-  const double fields_us =
-      static_cast<double>(histogram_sum(snap, "phase.fields_us"));
-  const double semantics_us =
-      static_cast<double>(histogram_sum(snap, "phase.semantics_us"));
-  const double concat_us =
-      static_cast<double>(histogram_sum(snap, "phase.concat_us"));
-  const double check_us =
-      static_cast<double>(histogram_sum(snap, "phase.check_us"));
-  const double total =
-      pinpoint_us + fields_us + semantics_us + concat_us + check_us;
+  // re-summing PhaseTimings.
+  double total_us = 0;
+  for (const core::Phase& phase : core::kPhases)
+    total_us += static_cast<double>(histogram_sum(snap, phase.histogram));
   std::printf(
       "fastest firmware: %.2f ms   slowest: %.2f ms   (paper: 154 s / 1472 "
       "s on Ghidra-lifted binaries)\n",
       1e3 * min_t, 1e3 * max_t);
+  std::printf("phase split (registry):");
+  for (const core::Phase& phase : core::kPhases) {
+    const double us = static_cast<double>(histogram_sum(snap, phase.histogram));
+    std::printf("  %s %.2f%%", phase.name, 100 * us / total_us);
+  }
   std::printf(
-      "phase split (registry):  pinpoint %.2f%%  fields %.2f%%  semantics "
-      "%.2f%%  concat %.2f%%  check %.2f%%\n",
-      100 * pinpoint_us / total, 100 * fields_us / total,
-      100 * semantics_us / total, 100 * concat_us / total,
-      100 * check_us / total);
-  std::printf(
-      "phase split (paper):     pinpoint 37.67%%  fields 43.83%%  semantics "
+      "\nphase split (paper):     pinpoint 37.67%%  fields 43.83%%  semantics "
       "3.71%%  concat 9.96%%  check 4.81%%\n");
   // Tail behavior across devices, straight from the registry's latency
   // buckets — the distributions the serve-mode heartbeat and the

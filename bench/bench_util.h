@@ -122,16 +122,11 @@ inline void write_bench_json(const std::string& path,
   doc.set("config", std::move(config));
 
   support::Json phases{support::JsonObject{}};
-  const auto phase = [&](const char* name, double wall_s) {
+  for (const core::Phase& phase : core::kPhases) {
     support::Json p{support::JsonObject{}};
-    p.set("wall_s", wall_s);
-    phases.set(name, std::move(p));
-  };
-  phase("pinpoint", result.aggregate.pinpoint_s);
-  phase("fields", result.aggregate.fields_s);
-  phase("semantics", result.aggregate.semantics_s);
-  phase("concat", result.aggregate.concat_s);
-  phase("check", result.aggregate.check_s);
+    p.set("wall_s", result.aggregate.*phase.slot);
+    phases.set(phase.name, std::move(p));
+  }
   support::Json total{support::JsonObject{}};
   total.set("wall_s", result.wall_s);
   total.set("cpu_s", result.cpu_s);

@@ -126,11 +126,8 @@ CorpusResult CorpusRunner::run_tasks(
     if (analyses[i].has_value()) {
       g_devices_completed.add();
       const PhaseTimings& t = analyses[i]->timings;
-      result.aggregate.pinpoint_s += t.pinpoint_s;
-      result.aggregate.fields_s += t.fields_s;
-      result.aggregate.semantics_s += t.semantics_s;
-      result.aggregate.concat_s += t.concat_s;
-      result.aggregate.check_s += t.check_s;
+      for (const Phase& phase : kPhases)
+        result.aggregate.*phase.slot += t.*phase.slot;
       result.aggregate.cpu_total_s += t.cpu_total_s;
       result.cpu_s += t.cpu_total_s;
       result.analyses.push_back(std::move(*analyses[i]));

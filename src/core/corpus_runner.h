@@ -96,7 +96,7 @@ class CorpusRunner {
     /// passes the manifest's device id, and skips an attempt whose
     /// directory did not load (no id is known).
     std::function<void(int device_id, bool ok, const PhaseTimings& timings)>
-        on_device_done;
+        on_device_done = nullptr;
   };
 
   /// `pipeline` must outlive the runner.

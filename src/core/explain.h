@@ -21,7 +21,7 @@ struct ExplainOptions {
   /// Field selector; empty explains every field. A decimal integer selects
   /// the K-th field counting across the device's messages in report order;
   /// anything else matches field keys exactly.
-  std::string field;
+  std::string field = {};
 };
 
 /// Render the derivation text for one device of a report document (either

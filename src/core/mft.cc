@@ -69,16 +69,10 @@ void render_node(const MftNode& node, int depth, std::ostringstream& os) {
 
 }  // namespace
 
-std::size_t Mft::node_count() const {
-  std::size_t nodes = 0, leaves = 0;
-  for (const auto& r : roots) count_nodes(*r, nodes, leaves);
-  return nodes;
-}
-
-std::size_t Mft::leaf_count() const {
-  std::size_t nodes = 0, leaves = 0;
-  for (const auto& r : roots) count_nodes(*r, nodes, leaves);
-  return leaves;
+Mft::Counts Mft::count() const {
+  Counts counts;
+  for (const auto& r : roots) count_nodes(*r, counts.nodes, counts.leaves);
+  return counts;
 }
 
 const TaintProvenance* Mft::provenance_of(int leaf_id) const {
@@ -141,13 +135,14 @@ void invert(MftNode& node) {
 }
 
 std::string render_mft(const Mft& mft) {
+  const Mft::Counts counts = mft.count();
   std::ostringstream os;
   os << "MFT @" << (mft.delivery_op != nullptr
                         ? support::format("0x%llx", static_cast<unsigned long long>(
                                                         mft.delivery_op->address))
                         : std::string("?"))
-     << " " << mft.delivery_callee << " (" << mft.node_count() << " nodes, "
-     << mft.leaf_count() << " leaves)\n";
+     << " " << mft.delivery_callee << " (" << counts.nodes << " nodes, "
+     << counts.leaves << " leaves)\n";
   for (const auto& r : mft.roots) render_node(*r, 1, os);
   return os.str();
 }

@@ -98,8 +98,12 @@ struct Mft {
   /// Provenance record for a leaf_id; nullptr when unknown.
   const TaintProvenance* provenance_of(int leaf_id) const;
 
-  std::size_t node_count() const;
-  std::size_t leaf_count() const;
+  struct Counts {
+    std::size_t nodes = 0;
+    std::size_t leaves = 0;
+  };
+  /// Node and leaf totals over every root, in one traversal.
+  Counts count() const;
 
   /// All leaves in depth-first order across the roots (message order after
   /// the inversion step has been applied to children ordering).

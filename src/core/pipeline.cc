@@ -1,10 +1,11 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
+#include <array>
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "analysis/pointsto/pointsto.h"
 #include "analysis/valueflow/valueflow.h"
@@ -26,18 +27,16 @@ namespace {
 
 namespace metrics = support::metrics;
 
-// Per-phase latency histograms (microseconds) — what bench_perf_phases
-// reads back for its phase-split summary. Runtime-kind: excluded from the
-// deterministic metrics dump.
-metrics::Histogram g_phase_pinpoint_us("phase.pinpoint_us",
-                                       metrics::Kind::Runtime);
-metrics::Histogram g_phase_fields_us("phase.fields_us",
-                                     metrics::Kind::Runtime);
-metrics::Histogram g_phase_semantics_us("phase.semantics_us",
-                                        metrics::Kind::Runtime);
-metrics::Histogram g_phase_concat_us("phase.concat_us",
-                                     metrics::Kind::Runtime);
-metrics::Histogram g_phase_check_us("phase.check_us", metrics::Kind::Runtime);
+// Per-phase latency histograms (microseconds), one per kPhases entry —
+// what bench_perf_phases reads back for its phase-split summary.
+// Runtime-kind: excluded from the deterministic metrics dump.
+template <std::size_t... I>
+std::array<metrics::Histogram, sizeof...(I)> phase_histograms(
+    std::index_sequence<I...>) {
+  return {metrics::Histogram(kPhases[I].histogram, metrics::Kind::Runtime)...};
+}
+std::array<metrics::Histogram, std::size(kPhases)> g_phase_us =
+    phase_histograms(std::make_index_sequence<std::size(kPhases)>());
 
 // Work-kind corpus totals: deterministic at any jobs level.
 metrics::Counter g_devices_analyzed("pipeline.devices_analyzed",
@@ -53,27 +52,6 @@ metrics::Histogram g_mft_leaves("taint.mft_leaves", metrics::Kind::Work);
 std::uint64_t to_us(double seconds) {
   return seconds <= 0.0 ? 0 : static_cast<std::uint64_t>(seconds * 1e6);
 }
-
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double& slot)
-      : slot_(slot), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    slot_ += std::chrono::duration<double>(
-                 std::chrono::steady_clock::now() - start_)
-                 .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double& slot_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace
-
-namespace {
 
 /// Accumulates the analyzing thread's CPU time into a PhaseTimings slot.
 class CpuTimer {
@@ -217,10 +195,12 @@ struct ProgramContext {
 
 DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
                                  support::ThreadPool* pool) const {
-  FIRMRES_SPAN_DEVICE("pipeline.analyze", "pipeline", image.profile.id);
   DeviceAnalysis out;
   out.device_id = image.profile.id;
+  // Outside the span: a thread-CPU clock read is a system call, and on a
+  // loaded host it can stall for milliseconds that no phase would bill.
   const CpuTimer cpu_timer(out.timings.cpu_total_s);
+  FIRMRES_SPAN_DEVICE("pipeline.analyze", "pipeline", image.profile.id);
 
   // --- Phase 0 (opt-in): reject malformed programs up front ----------------
   // A lint error deep in one executable would otherwise surface as a
@@ -254,8 +234,8 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
   std::set<const ir::Function*> registry_branchless;
   std::map<std::string, std::string> component_labels;  ///< fn name → label
   if (options_.registry != nullptr) {
-    FIRMRES_SPAN_DEVICE("phase.components", "pipeline", image.profile.id);
-    PhaseTimer timer(out.timings.pinpoint_s);
+    FIRMRES_SPAN_DEVICE("phase.components", "pipeline", image.profile.id,
+                        &out.timings.pinpoint_s);
     const analysis::components::LibraryRegistry& registry =
         *options_.registry;
     std::vector<analysis::components::MatchResult> results;
@@ -335,8 +315,8 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
   std::vector<std::unique_ptr<ProgramContext>> contexts;
   std::uint64_t executables_scanned = 0;
   {
-    FIRMRES_SPAN_DEVICE("phase.pinpoint", "pipeline", image.profile.id);
-    PhaseTimer timer(out.timings.pinpoint_s);
+    FIRMRES_SPAN_DEVICE("phase.pinpoint", "pipeline", image.profile.id,
+                        &out.timings.pinpoint_s);
     // Registry products thread into the §IV-A solves; they change no
     // verdict (substitution is byte-identical), so ident cache keys need
     // not cover them. Points-to does shape the solve, so they cover it.
@@ -384,6 +364,9 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
           out.device_cloud_executable = file.path;
       }
     }
+    if (device_cloud.empty())
+      FIRMRES_LOG(Info) << "device " << image.profile.id
+                        << ": no device-cloud executable identified";
   }
   // Fills the per-device metrics block (fixed emission order — the report
   // is byte-compared across job counts) and feeds the corpus-level
@@ -409,16 +392,11 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
     g_messages.add(out.messages.size());
     g_lan_discarded.add(static_cast<std::uint64_t>(out.discarded_lan));
     g_flaw_alarms.add(out.flaws.size());
-    g_phase_pinpoint_us.observe(to_us(out.timings.pinpoint_s));
-    g_phase_fields_us.observe(to_us(out.timings.fields_s));
-    g_phase_semantics_us.observe(to_us(out.timings.semantics_s));
-    g_phase_concat_us.observe(to_us(out.timings.concat_s));
-    g_phase_check_us.observe(to_us(out.timings.check_s));
+    for (std::size_t i = 0; i < std::size(kPhases); ++i)
+      g_phase_us[i].observe(to_us(out.timings.*kPhases[i].slot));
   };
 
   if (device_cloud.empty()) {
-    FIRMRES_LOG(Info) << "device " << image.profile.id
-                      << ": no device-cloud executable identified";
     finalize();
     return out;
   }
@@ -459,7 +437,9 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
     std::vector<CachedMessage> fresh;   ///< miss: filled in Phases 3+4
   };
   struct SiteOutcome {
-    std::optional<CachedMessage> ready;  ///< fn-tier hit
+    /// fn-tier hit; for a fresh `mft`, its MFT size until Phases 3+4
+    /// fill in the rest.
+    std::optional<CachedMessage> ready;
     std::optional<Mft> mft;              ///< needs reconstruction
     int group = -1;                      ///< FnGroup index (cache path only)
   };
@@ -473,8 +453,8 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
   };
   std::vector<ProgramWork> per_program(device_cloud.size());
   {
-    FIRMRES_SPAN_DEVICE("phase.fields", "pipeline", image.profile.id);
-    PhaseTimer timer(out.timings.fields_s);
+    FIRMRES_SPAN_DEVICE("phase.fields", "pipeline", image.profile.id,
+                        &out.timings.fields_s);
     for (std::size_t i = 0; i < device_cloud.size(); ++i) {
       const ir::Program& program = *device_cloud[i];
       ProgramWork& work = per_program[i];
@@ -621,7 +601,7 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
         }
       }
     }
-    for (const ProgramWork& work : per_program) {
+    for (ProgramWork& work : per_program) {
       const CachedProgramAnalysis* summary =
           work.cached.has_value() ? &*work.cached : &work.fresh;
       out.indirect_calls_total += static_cast<int>(summary->indirect_total);
@@ -649,20 +629,25 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
       if (work.cached.has_value()) {
         for (const CachedMessage& m : work.cached->messages)
           observe_mft(m.mft_nodes, m.mft_leaves);
-      } else {
-        for (const SiteOutcome& s : work.sites)
-          observe_mft(
-              s.ready.has_value() ? s.ready->mft_nodes : s.mft->node_count(),
-              s.ready.has_value() ? s.ready->mft_leaves : s.mft->leaf_count());
+        continue;
+      }
+      for (SiteOutcome& s : work.sites) {
+        if (s.mft.has_value()) {
+          const Mft::Counts counts = s.mft->count();
+          s.ready.emplace();
+          s.ready->mft_nodes = counts.nodes;
+          s.ready->mft_leaves = counts.leaves;
+        }
+        observe_mft(s.ready->mft_nodes, s.ready->mft_leaves);
       }
     }
   }
 
   // --- Phases 3+4: semantics recovery & field concatenation (§IV-C/D) ------
-  // Reconstructor::reconstruct_one does §IV-C slice/split/classify and §IV-D
-  // group/order/format in one call per MFT, all of it timed as semantics_s.
-  // concat_s times delivery into the analysis and the cache stores, which
-  // also have their own cache.store span.
+  // Reconstructor::reconstruct_one bills its §IV-C slice/split/classify to
+  // semantics_s and its §IV-D group/order/format to concat_s. Delivery into
+  // the analysis is billed to concat_s too, the cache stores to
+  // cache_store_s.
   {
     FIRMRES_SPAN_DEVICE("phase.reconstruct", "pipeline", image.profile.id);
     const Reconstructor reconstructor(model_);
@@ -671,7 +656,6 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
     // message moves into the analysis; a caller that still stores the
     // outcome delivers a copy.
     const auto deliver = [&](CachedMessage&& m) {
-      PhaseTimer timer(out.timings.concat_s);
       emit_decision_event(out.device_id, m.decision);
       out.mft_decisions.push_back(std::move(m.decision));
       if (m.message.has_value()) {
@@ -685,38 +669,32 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
       }
     };
     for (ProgramWork& work : per_program) {
-      if (work.cached.has_value()) {
-        for (CachedMessage& m : work.cached->messages) deliver(std::move(m));
-        continue;
-      }
-      for (SiteOutcome& s : work.sites) {
-        if (s.ready.has_value()) {
-          deliver(CachedMessage(*s.ready));
-          work.fresh.messages.push_back(std::move(*s.ready));
-          continue;
-        }
-        CachedMessage m;
+      const bool fresh = !work.cached.has_value();
+      for (SiteOutcome& s : work.sites) {  // empty on a program-tier hit
+        CachedMessage& m =
+            work.fresh.messages.emplace_back(*std::move(s.ready));
+        if (!s.mft.has_value()) continue;  // fn-tier hit
         m.fn = s.mft->delivery_fn->name();
-        {
-          PhaseTimer timer(out.timings.semantics_s);
-          m.message = reconstructor.reconstruct_one(
-              *s.mft, out.device_cloud_executable, &work.context->valueflow,
-              &m.decision);
-        }
-        m.mft_nodes = s.mft->node_count();
-        m.mft_leaves = s.mft->leaf_count();
-        if (cache == nullptr) {
-          deliver(std::move(m));
-          continue;
-        }
-        deliver(CachedMessage(m));
-        if (s.group >= 0)
-          work.groups[static_cast<std::size_t>(s.group)].fresh.push_back(m);
-        work.fresh.messages.push_back(std::move(m));
+        m.message = reconstructor.reconstruct_one(
+            *s.mft, out.device_cloud_executable, &work.context->valueflow,
+            &m.decision, &out.timings);
       }
-      if (cache != nullptr) {
-        FIRMRES_SPAN_DEVICE("cache.store", "cache", image.profile.id);
-        PhaseTimer timer(out.timings.concat_s);
+      {
+        FIRMRES_SPAN_DEVICE("reconstruct.deliver", "reconstruct",
+                            image.profile.id, &out.timings.concat_s);
+        for (CachedMessage& m :
+             fresh ? work.fresh.messages : work.cached->messages)
+          deliver(fresh && cache != nullptr ? CachedMessage(m) : std::move(m));
+      }
+      if (fresh && cache != nullptr) {
+        FIRMRES_SPAN_DEVICE("cache.store", "cache", image.profile.id,
+                            &out.timings.cache_store_s);
+        for (std::size_t i = 0; i < work.sites.size(); ++i) {
+          const SiteOutcome& s = work.sites[i];
+          if (s.mft.has_value())  // its group missed the fn tier
+            work.groups[static_cast<std::size_t>(s.group)].fresh.push_back(
+                work.fresh.messages[i]);
+        }
         for (FnGroup& group : work.groups) {
           if (group.from_cache) continue;
           CachedFunctionEntry entry;
@@ -756,8 +734,8 @@ DeviceAnalysis Pipeline::analyze(const fw::FirmwareImage& image,
 
   // --- Phase 5: message form check (§IV-E) ----------------------------------
   {
-    FIRMRES_SPAN_DEVICE("phase.check", "pipeline", image.profile.id);
-    PhaseTimer timer(out.timings.check_s);
+    FIRMRES_SPAN_DEVICE("phase.check", "pipeline", image.profile.id,
+                        &out.timings.check_s);
     std::vector<std::string> files;
     for (const fw::FirmwareFile& f : image.files) files.push_back(f.path);
     out.flaws = FormChecker().check(out.messages, files);

@@ -2,7 +2,8 @@
 //
 // firmware image → pinpoint device-cloud executables → backward taint /
 // MFTs → slices + semantics → message reconstruction → form check.
-// Phase wall-clock times are recorded for the §V-E performance breakdown.
+// Phase wall-clock times are recorded for the §V-E performance breakdown:
+// the spans that time each phase bill its PhaseTimings slot.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,9 @@ namespace firmres::core {
 
 class AnalysisCache;
 
+/// Wall-clock seconds per phase of one analysis. Only closing spans write
+/// these slots (trace::Span's slot; docs/OBSERVABILITY.md lists which span
+/// bills which slot), so each slot is the summed duration of its spans.
 struct PhaseTimings {
   /// Device-cloud executable identification, including each executable's
   /// context solve (points-to, value flow, call graph) and, with a
@@ -31,19 +35,48 @@ struct PhaseTimings {
   /// Taint analysis / MFT construction over the Phase-1 contexts (plus a
   /// context solve for a program whose verdict came from the cache).
   double fields_s = 0.0;
-  double semantics_s = 0.0;  ///< slice classification
-  double concat_s = 0.0;     ///< grouping, ordering, format inference
-  double check_s = 0.0;      ///< message form check
+  /// §IV-C: slice generation, format-string split, classification.
+  double semantics_s = 0.0;
+  /// §IV-D: grouping and LAN filter, format inference, field order; and
+  /// delivery of every message into the analysis.
+  double concat_s = 0.0;
+  double check_s = 0.0;  ///< §IV-E message form check
+  /// Function- and program-tier analysis-cache stores (0 without a cache).
+  double cache_store_s = 0.0;
   /// CPU time the analyzing thread consumed over the whole run. Under
   /// intra-image parallelism worker-thread cycles are not attributed here,
   /// so cpu_total_s ≤ total_s per device; corpus-level cpu/wall ratios come
   /// from CorpusResult.
   double cpu_total_s = 0.0;
-  /// Wall-clock total: the sum of the five phase slots.
-  double total_s() const {
-    return pinpoint_s + fields_s + semantics_s + concat_s + check_s;
-  }
+  /// Wall-clock total: the sum of the phase slots (kPhases).
+  double total_s() const;
 };
+
+/// One timed phase: its PhaseTimings slot and every name it goes by.
+struct Phase {
+  double PhaseTimings::*slot;
+  const char* report_key;  ///< key in a report's `timings` block
+  const char* name;        ///< --progress label and bench-artifact phase key
+  const char* histogram;   ///< Runtime-kind per-device latency histogram (µs)
+};
+
+/// The phases, in report, --progress and bench-artifact order.
+inline constexpr Phase kPhases[] = {
+    {&PhaseTimings::pinpoint_s, "pinpoint_s", "pinpoint", "phase.pinpoint_us"},
+    {&PhaseTimings::fields_s, "fields_s", "fields", "phase.fields_us"},
+    {&PhaseTimings::semantics_s, "semantics_s", "semantics",
+     "phase.semantics_us"},
+    {&PhaseTimings::concat_s, "concat_s", "concat", "phase.concat_us"},
+    {&PhaseTimings::check_s, "check_s", "check", "phase.check_us"},
+    {&PhaseTimings::cache_store_s, "cache_store_s", "cache_store",
+     "phase.cache_store_us"},
+};
+
+inline double PhaseTimings::total_s() const {
+  double total = 0.0;
+  for (const Phase& phase : kPhases) total += this->*phase.slot;
+  return total;
+}
 
 struct DeviceAnalysis {
   int device_id = 0;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <optional>
 
+#include "core/pipeline.h"
 #include "ir/library.h"
+#include "support/observability/trace.h"
 #include "support/strings.h"
 
 namespace firmres::core {
@@ -122,13 +124,19 @@ bool Reconstructor::is_lan_address(const std::string& text) {
 
 std::optional<ReconstructedMessage> Reconstructor::reconstruct_one(
     const Mft& mft, const std::string& executable,
-    const analysis::ValueFlow* valueflow, MftDecision* decision) const {
+    const analysis::ValueFlow* valueflow, MftDecision* decision,
+    PhaseTimings* timings) const {
   if (decision != nullptr) {
     decision->delivery_address = mft.delivery_op->address;
     decision->delivery_callee = mft.delivery_callee;
     decision->kept = true;
     decision->reason = "reconstructed";
   }
+  // §IV-C (slices, split, classify) bills semantics_s; re-emplacing the
+  // span closes it and bills the §IV-D rest to concat_s.
+  std::optional<support::trace::Span> phase;
+  phase.emplace("reconstruct.semantics", "reconstruct", 0,
+                timings != nullptr ? &timings->semantics_s : nullptr);
   SliceGenerator::Options slice_options;
   slice_options.valueflow = valueflow;
   const SliceGenerator slicer(mft, slice_options);
@@ -148,6 +156,8 @@ std::optional<ReconstructedMessage> Reconstructor::reconstruct_one(
     scored[static_cast<std::size_t>(s.leaf->leaf_id)] =
         model_.classify_scored(s.slice_text);
   }
+  phase.emplace("reconstruct.concat", "reconstruct", 0,
+                timings != nullptr ? &timings->concat_s : nullptr);
   const auto label_of = [&scored](int leaf_id) {
     const auto& decision = scored[static_cast<std::size_t>(leaf_id)];
     return decision.has_value() ? decision->label : fw::Primitive::None;

@@ -18,6 +18,8 @@
 
 namespace firmres::core {
 
+struct PhaseTimings;
+
 /// How a reconstructed field's value is obtained on the device.
 enum class FieldValueSource {
   Nvram,
@@ -141,11 +143,14 @@ class Reconstructor {
       const analysis::ValueFlow* valueflow = nullptr) const;
 
   /// One MFT → one message (or nullopt when LAN-filtered). `decision`
-  /// (optional, not owned) receives the keep/drop record.
+  /// (optional, not owned) receives the keep/drop record; `timings`
+  /// (optional, not owned) is billed the §IV-C part as semantics_s and the
+  /// §IV-D part as concat_s.
   std::optional<ReconstructedMessage> reconstruct_one(
       const Mft& mft, const std::string& executable,
       const analysis::ValueFlow* valueflow = nullptr,
-      MftDecision* decision = nullptr) const;
+      MftDecision* decision = nullptr,
+      PhaseTimings* timings = nullptr) const;
 
   /// §IV-D LAN predicate: 10.*, 172.16-31.*, 192.168.*, FE80-prefixed IPv6,
   /// multicast (224-239.*), broadcast.

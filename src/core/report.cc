@@ -204,11 +204,8 @@ support::Json analysis_to_json(const DeviceAnalysis& analysis,
 
   if (include_timings) {
     Json timings{JsonObject{}};
-    timings.set("pinpoint_s", analysis.timings.pinpoint_s);
-    timings.set("fields_s", analysis.timings.fields_s);
-    timings.set("semantics_s", analysis.timings.semantics_s);
-    timings.set("concat_s", analysis.timings.concat_s);
-    timings.set("check_s", analysis.timings.check_s);
+    for (const Phase& phase : kPhases)
+      timings.set(phase.report_key, analysis.timings.*phase.slot);
     timings.set("total_s", analysis.timings.total_s());
     timings.set("cpu_total_s", analysis.timings.cpu_total_s);
     doc.set("timings", std::move(timings));

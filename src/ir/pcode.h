@@ -31,14 +31,14 @@ namespace firmres::ir {
 struct PcodeOp {
   std::uint64_t address = 0;  ///< program-unique op address
   OpCode opcode = OpCode::Copy;
-  std::optional<VarNode> output;
+  std::optional<VarNode> output = std::nullopt;
   /// Arena-backed operand list (stable for the Program's lifetime).
-  std::span<const VarNode> inputs;
+  std::span<const VarNode> inputs = {};
   /// For OpCode::Call: resolved callee symbol name, interned in the owning
   /// Program's StringTable. Empty otherwise. Set via
   /// Program::set_call_target, which keeps the three resolved forms below
   /// in sync.
-  std::string_view callee;
+  std::string_view callee = {};
   /// Interned id of `callee` (0 when not a direct call).
   StrId callee_id = 0;
   /// Dense id of the in-program callee Function (import thunks included);

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "support/error.h"
-#include "support/strings.h"
 
 namespace firmres::support::profile {
 
@@ -89,26 +88,6 @@ std::string to_collapsed(const std::vector<Entry>& entries) {
     out += ' ';
     out += std::to_string(self_us);
     out += '\n';
-  }
-  return out;
-}
-
-std::string to_table(const std::vector<Entry>& entries) {
-  std::vector<const Entry*> order;
-  order.reserve(entries.size());
-  for (const Entry& e : entries) order.push_back(&e);
-  std::sort(order.begin(), order.end(), [](const Entry* a, const Entry* b) {
-    if (a->self_ns != b->self_ns) return a->self_ns > b->self_ns;
-    return a->stack < b->stack;
-  });
-  std::string out =
-      format("%12s %12s %8s  %s\n", "total_us", "self_us", "count", "stack");
-  for (const Entry* e : order) {
-    out += format("%12llu %12llu %8llu  %s\n",
-                  static_cast<unsigned long long>(e->total_ns / 1000),
-                  static_cast<unsigned long long>(e->self_ns / 1000),
-                  static_cast<unsigned long long>(e->count),
-                  e->stack.c_str());
   }
   return out;
 }

@@ -11,12 +11,9 @@
 // (entries are keyed and sorted by stack path), so profiles of a given
 // trace diff cleanly.
 //
-// Two renderings:
-//   * to_table()     — a fixed-width self/total/count table sorted hottest
-//     self-time first, for terminal reading;
-//   * to_collapsed() — Brendan Gregg's collapsed-stack format
-//     ("path;leaf self_us" per line), loadable by speedscope and
-//     flamegraph.pl. The CLI writes it via --profile-out.
+// to_collapsed() renders the entries in Brendan Gregg's collapsed-stack
+// format ("path;leaf self_us" per line), loadable by speedscope and
+// flamegraph.pl. The CLI writes it via --profile-out.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +45,6 @@ std::vector<Entry> fold(const std::vector<trace::Event>& events);
 /// entry with nonzero self time (the format's sample weight must be a
 /// positive integer). Sorted by stack path.
 std::string to_collapsed(const std::vector<Entry>& entries);
-
-/// Render entries as a fixed-width table (total_us, self_us, count,
-/// stack), sorted by self time descending with the stack path as the
-/// deterministic tie-break.
-std::string to_table(const std::vector<Entry>& entries);
 
 /// fold(events) + to_collapsed + write to `path`. Throws
 /// support::ParseError when the file cannot be written.

@@ -66,14 +66,14 @@ void set_enabled(bool enabled) {
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-#if !defined(FIRMRES_OBSERVABILITY_DISABLED)
-
-Span::Span(const char* name, const char* category, int device_id)
+Span::Span(const char* name, const char* category, int device_id,
+           double* slot)
     : live_(g_enabled.load(std::memory_order_relaxed)),
+      slot_(slot),
       name_(name),
       category_(category),
       device_id_(device_id) {
-  if (live_) start_ns_ = now_ns();
+  if (live_ || slot_ != nullptr) start_ns_ = now_ns();
 }
 
 void Span::arg(const char* key, std::string value) {
@@ -81,8 +81,10 @@ void Span::arg(const char* key, std::string value) {
 }
 
 Span::~Span() {
+  if (!live_ && slot_ == nullptr) return;
+  const std::uint64_t duration_ns = now_ns() - start_ns_;
+  if (slot_ != nullptr) *slot_ += static_cast<double>(duration_ns) * 1e-9;
   if (!live_) return;
-  const std::uint64_t end_ns = now_ns();
   ThreadBuffer& buffer = local_buffer();
   std::lock_guard<std::mutex> lock(buffer.mutex);
   Event& e = buffer.events.emplace_back();
@@ -90,13 +92,11 @@ Span::~Span() {
   e.category = category_;
   e.device_id = device_id_;
   e.start_ns = start_ns_;
-  e.duration_ns = end_ns - start_ns_;
+  e.duration_ns = duration_ns;
   e.thread_id = buffer.thread_id;
   e.sequence = buffer.next_sequence++;
   e.args = std::move(args_);
 }
-
-#endif  // !FIRMRES_OBSERVABILITY_DISABLED
 
 std::vector<Event> collect() {
   std::vector<Event> all;

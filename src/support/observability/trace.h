@@ -5,14 +5,15 @@
 // lands in a buffer owned by the recording thread — the hot path never
 // touches a lock another thread contends for. Spans nest naturally
 // (pipeline.device > phase.fields > taint.build), carry a category, an
-// optional device id, and string key/value args, and cost one relaxed
-// atomic load when tracing is disabled at runtime.
+// optional device id, and string key/value args. Spans record only while
+// trace::set_enabled(true) is in effect (the CLI flips it when --trace-out
+// is given); disabled, a span costs one relaxed atomic load.
 //
-// Two gates keep the overhead bounded:
-//   * compile time — defining FIRMRES_OBSERVABILITY_DISABLED turns the
-//     FIRMRES_SPAN* macros into nothing and Span into an empty shell;
-//   * run time    — spans record only while trace::set_enabled(true) is in
-//     effect (the CLI flips it when --trace-out is given).
+// A span may also bill a slot: a `double` of seconds (a PhaseTimings
+// field) to which it adds its duration when it closes. Such a span reads
+// the clock whether or not tracing is on, and the seconds it adds are the
+// duration_ns its trace event records — the one clock phase timings come
+// from.
 //
 // collect() merges every thread's buffer into one event list with a
 // deterministic total order (start time, then stable thread id, then a
@@ -50,13 +51,14 @@ struct Event {
   std::vector<std::pair<std::string, std::string>> args;
 };
 
-#if !defined(FIRMRES_OBSERVABILITY_DISABLED)
-
-/// RAII scope span. Cheap to construct when tracing is disabled (one
-/// relaxed atomic load, no allocation).
+/// RAII scope span. Without a slot it is cheap to construct when tracing
+/// is disabled (one relaxed atomic load, no allocation). With a slot (not
+/// owned; written only by the closing thread) it adds its duration, in
+/// seconds, to `*slot` on close.
 class Span {
  public:
-  Span(const char* name, const char* category, int device_id = 0);
+  Span(const char* name, const char* category, int device_id = 0,
+       double* slot = nullptr);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -70,23 +72,13 @@ class Span {
 
  private:
   bool live_ = false;  ///< recording (tracing was enabled at construction)
+  double* slot_ = nullptr;
   const char* name_ = nullptr;
   const char* category_ = nullptr;
   int device_id_ = 0;
   std::uint64_t start_ns_ = 0;
   std::vector<std::pair<std::string, std::string>> args_;
 };
-
-#else  // FIRMRES_OBSERVABILITY_DISABLED
-
-class Span {
- public:
-  Span(const char*, const char*, int = 0) {}
-  void arg(const char*, std::string) {}
-  void set_device(int) {}
-};
-
-#endif
 
 /// Merge every thread's completed spans into one deterministically ordered
 /// list (start_ns, thread_id, sequence) and clear the buffers.
@@ -114,17 +106,13 @@ void write_chrome_trace(const std::string& path,
 }  // namespace firmres::support::trace
 
 // Convenience macros: create an anonymous span covering the rest of the
-// enclosing scope. Compiled out entirely under FIRMRES_OBSERVABILITY_DISABLED.
-#if !defined(FIRMRES_OBSERVABILITY_DISABLED)
+// enclosing scope. FIRMRES_SPAN_DEVICE takes the device id and, optionally,
+// the slot to bill: FIRMRES_SPAN_DEVICE(name, category, id, &slot).
 #define FIRMRES_SPAN_CAT2(a, b) a##b
 #define FIRMRES_SPAN_CAT(a, b) FIRMRES_SPAN_CAT2(a, b)
 #define FIRMRES_SPAN(name, category)                     \
   ::firmres::support::trace::Span FIRMRES_SPAN_CAT(      \
       firmres_span_, __LINE__)(name, category)
-#define FIRMRES_SPAN_DEVICE(name, category, device_id)   \
+#define FIRMRES_SPAN_DEVICE(name, category, ...)         \
   ::firmres::support::trace::Span FIRMRES_SPAN_CAT(      \
-      firmres_span_, __LINE__)(name, category, device_id)
-#else
-#define FIRMRES_SPAN(name, category) do { } while (0)
-#define FIRMRES_SPAN_DEVICE(name, category, device_id) do { } while (0)
-#endif
+      firmres_span_, __LINE__)(name, category, __VA_ARGS__)

@@ -226,7 +226,6 @@ TEST(CacheDifferential, CountersFlowToTheMetricsRegistry) {
 // Store robustness: damaged entries are misses, never crashes
 // ---------------------------------------------------------------------------
 
-#if !defined(FIRMRES_OBSERVABILITY_DISABLED)
 TEST(CacheDifferential, StoresRunInsideACacheStoreSpan) {
   // A profile separates the stores from §IV-C/D work: each cold program
   // store runs in a cache.store span inside phase.reconstruct; a warm run
@@ -259,7 +258,6 @@ TEST(CacheDifferential, StoresRunInsideACacheStoreSpan) {
   for (const trace::Event& e : traced_spans())
     EXPECT_NE(e.name, "cache.store");
 }
-#endif
 
 TEST(CacheRobustness, TruncatedEntriesFallBackToRecompute) {
   const fw::FirmwareImage image = fw::synthesize(fw::profile_by_id(3));

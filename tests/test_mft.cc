@@ -221,7 +221,7 @@ TEST(MftBuilder, LeafIdsAreUniqueAndDense) {
     EXPECT_GE(leaf->leaf_id, 0);
     EXPECT_TRUE(ids.insert(leaf->leaf_id).second);
   }
-  EXPECT_EQ(ids.size(), mft.leaf_count());
+  EXPECT_EQ(ids.size(), mft.count().leaves);
 }
 
 TEST(Mft, PathToAndHash) {
@@ -261,7 +261,7 @@ TEST(Mft, SimplifyCollapsesChains) {
   f.ret();
   const Mft mft = build_single(prog);
 
-  std::size_t nodes_before = mft.node_count();
+  std::size_t nodes_before = mft.count().nodes;
   auto simplified = simplify(*mft.roots[0]);
   std::function<std::size_t(const MftNode&)> count =
       [&](const MftNode& n) -> std::size_t {
@@ -334,7 +334,7 @@ TEST(MftBuilder, NodeBudgetBoundsExplosion) {
   const MftBuilder builder(prog, cg, opts);
   const auto mfts = builder.build_all();
   ASSERT_EQ(mfts.size(), 1u);
-  EXPECT_LE(mfts[0].node_count(), 22u);  // budget plus root slack
+  EXPECT_LE(mfts[0].count().nodes, 22u);  // budget plus root slack
 }
 
 }  // namespace

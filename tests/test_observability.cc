@@ -1,6 +1,6 @@
 // Observability layer tests (docs/OBSERVABILITY.md, docs/PROVENANCE.md):
 // span nesting and deterministic cross-thread merge, metrics aggregation
-// equality across job counts, runtime/compile-time no-op gates, the
+// equality across job counts, the runtime no-op gate, the
 // chrome://tracing export schema, the decision-event log's content-ordered
 // merge, and JSON string-escaping hardening shared by every exporter.
 #include "support/observability/events.h"
@@ -10,14 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/analysis_cache.h"
 #include "core/corpus_runner.h"
 #include "core/report.h"
 #include "firmware/synthesizer.h"
@@ -44,8 +49,6 @@ struct ScopedTracing {
     trace::clear();
   }
 };
-
-#if !defined(FIRMRES_OBSERVABILITY_DISABLED)
 
 TEST(Trace, SpansNestAndCarryArgs) {
   ScopedTracing tracing;
@@ -153,22 +156,6 @@ TEST(Trace, ChromeJsonMatchesTraceEventSchema) {
   EXPECT_EQ(args->find("detail")->as_string(), "x");
 }
 
-#else  // FIRMRES_OBSERVABILITY_DISABLED
-
-TEST(Trace, DisabledBuildSpansCompileToNothing) {
-  trace::clear();
-  trace::set_enabled(true);
-  {
-    FIRMRES_SPAN("ghost", "test");
-    trace::Span span("ghost2", "test", 1);
-    span.arg("k", "v");
-  }
-  EXPECT_TRUE(trace::collect().empty());
-  trace::set_enabled(false);
-}
-
-#endif
-
 TEST(Metrics, CountersGaugesHistogramsAggregate) {
   static metrics::Counter counter("test.counter", metrics::Kind::Work);
   static metrics::Gauge gauge("test.gauge", metrics::Kind::Work);
@@ -257,6 +244,144 @@ TEST(Metrics, ReportMetricsBlockIsJobsInvariant) {
           .dump(true);
   EXPECT_NE(report.find("\"metrics\""), std::string::npos);
   EXPECT_NE(report.find("taint.mft_nodes"), std::string::npos);
+}
+
+TEST(Trace, SlotSpanBillsItsTracedDuration) {
+  double slot = 0.0;
+  {
+    ScopedTracing tracing;
+    { trace::Span span("billed", "test", 0, &slot); }
+    const std::vector<trace::Event> events = trace::collect();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(slot, static_cast<double>(events[0].duration_ns) * 1e-9);
+  }
+  // Tracing off: the slot is still billed, and nothing is recorded.
+  const double traced = slot;
+  { FIRMRES_SPAN_DEVICE("billed", "test", 0, &slot); }
+  EXPECT_GT(slot, traced);
+  EXPECT_TRUE(trace::collect().empty());
+}
+
+/// Span name → the report key of the PhaseTimings slot it bills
+/// (docs/OBSERVABILITY.md).
+const std::map<std::string, std::string> kBillingSpans = {
+    {"phase.components", "pinpoint_s"},
+    {"phase.pinpoint", "pinpoint_s"},
+    {"phase.fields", "fields_s"},
+    {"reconstruct.semantics", "semantics_s"},
+    {"reconstruct.concat", "concat_s"},
+    {"reconstruct.deliver", "concat_s"},
+    {"phase.check", "check_s"},
+    {"cache.store", "cache_store_s"},
+};
+
+/// Analyze the Table I corpus at `jobs` with tracing on — through a fresh
+/// (cold) analysis cache when `cold_cache` — and reconcile every device's
+/// PhaseTimings with the spans recorded on its analyzing thread: each slot
+/// is the sum of the spans that bill it, billing spans never overlap, and
+/// the slots cover most of the device's pipeline.analyze span.
+void reconcile_phase_timings(int jobs, bool cold_cache) {
+  const core::KeywordModel model;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("firmres-reconcile-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::optional<core::AnalysisCache> cache;
+  core::Pipeline::Options options;
+  if (cold_cache)
+    options.cache = &cache.emplace(core::AnalysisCache::Options{
+        .dir = dir.string()});
+  const core::Pipeline pipeline(model, options);
+  const std::vector<fw::FirmwareImage> corpus = fw::synthesize_corpus();
+  core::CorpusResult result;
+  std::vector<trace::Event> events;
+  {
+    ScopedTracing tracing;
+    result = core::CorpusRunner(pipeline, {.jobs = jobs}).run(corpus);
+    events = trace::collect();
+  }
+  cache.reset();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(result.failures.empty());
+
+  // A billing span belongs to the innermost pipeline.analyze span of its
+  // thread that contains it.
+  std::vector<const trace::Event*> analyze_spans;
+  for (const trace::Event& e : events)
+    if (e.name == "pipeline.analyze") analyze_spans.push_back(&e);
+  const auto end = [](const trace::Event& e) {
+    return e.start_ns + e.duration_ns;
+  };
+  const auto within = [&](const trace::Event& in, const trace::Event& out) {
+    return in.thread_id == out.thread_id && in.start_ns >= out.start_ns &&
+           end(in) <= end(out);
+  };
+  struct Billed {
+    double ns = 0.0;
+    int spans = 0;
+  };
+  std::map<int, std::map<std::string, Billed>> billed;
+  std::map<int, std::vector<const trace::Event*>> device_billing;
+  for (const trace::Event& e : events) {
+    const auto slot = kBillingSpans.find(e.name);
+    if (slot == kBillingSpans.end()) continue;
+    const trace::Event* owner = nullptr;
+    for (const trace::Event* a : analyze_spans)
+      if (within(e, *a) && (owner == nullptr || within(*a, *owner)))
+        owner = a;
+    ASSERT_NE(owner, nullptr) << e.name << " outside pipeline.analyze";
+    Billed& b = billed[owner->device_id][slot->second];
+    b.ns += static_cast<double>(e.duration_ns);
+    ++b.spans;
+    device_billing[owner->device_id].push_back(&e);
+  }
+
+  ASSERT_EQ(analyze_spans.size(), result.analyses.size());
+  double slots_s = 0.0, analyze_s = 0.0;
+  for (const core::DeviceAnalysis& a : result.analyses) {
+    SCOPED_TRACE("device " + std::to_string(a.device_id));
+    for (const core::Phase& phase : core::kPhases) {
+      const Billed b = billed[a.device_id][phase.report_key];
+      EXPECT_NEAR(a.timings.*phase.slot * 1e9, b.ns, std::max(b.spans, 1))
+          << phase.report_key;
+    }
+    // Billing spans are disjoint: no time, a cache store's included, is
+    // billed to two slots.
+    const std::vector<const trace::Event*>& spans =
+        device_billing[a.device_id];
+    for (std::size_t i = 0; i < spans.size(); ++i)
+      for (std::size_t j = i + 1; j < spans.size(); ++j)
+        EXPECT_TRUE(end(*spans[i]) <= spans[j]->start_ns ||
+                    end(*spans[j]) <= spans[i]->start_ns)
+            << spans[i]->name << " overlaps " << spans[j]->name;
+    for (const trace::Event* s : analyze_spans) {
+      if (s->device_id != a.device_id) continue;
+      EXPECT_LE(a.timings.total_s() * 1e9,
+                static_cast<double>(s->duration_ns) + spans.size());
+      analyze_s += static_cast<double>(s->duration_ns) * 1e-9;
+    }
+    slots_s += a.timings.total_s();
+  }
+  EXPECT_GE(slots_s, 0.8 * analyze_s)
+      << "phase slots cover too little of pipeline.analyze";
+  if (cold_cache) {
+    EXPECT_GT(result.aggregate.cache_store_s, 0.0);
+  } else {
+    EXPECT_EQ(result.aggregate.cache_store_s, 0.0);
+  }
+}
+
+TEST(PhaseReconciliation, UncachedAtOneJob) {
+  reconcile_phase_timings(1, false);
+}
+TEST(PhaseReconciliation, UncachedAtFourJobs) {
+  reconcile_phase_timings(4, false);
+}
+TEST(PhaseReconciliation, ColdCacheAtOneJob) {
+  reconcile_phase_timings(1, true);
+}
+TEST(PhaseReconciliation, ColdCacheAtFourJobs) {
+  reconcile_phase_timings(4, true);
 }
 
 /// RAII counterpart of ScopedTracing for the decision-event log.
@@ -559,10 +684,16 @@ TEST(Metrics, DeltaSubtractsCountersAndBuckets) {
   const metrics::Snapshot after = metrics::snapshot(false);
 
   const metrics::Snapshot delta = after.delta(before);
-  for (const auto& c : delta.counters)
-    if (c.name == "test.delta_counter") EXPECT_EQ(c.value, 5u);
-  for (const auto& g : delta.gauges)
-    if (g.name == "test.delta_gauge") EXPECT_EQ(g.value, 7u);  // current
+  for (const auto& c : delta.counters) {
+    if (c.name == "test.delta_counter") {
+      EXPECT_EQ(c.value, 5u);
+    }
+  }
+  for (const auto& g : delta.gauges) {
+    if (g.name == "test.delta_gauge") {
+      EXPECT_EQ(g.value, 7u);  // current
+    }
+  }
   for (const auto& h : delta.histograms) {
     if (h.name != "test.delta_histogram") continue;
     EXPECT_EQ(h.count, 2u);
@@ -576,8 +707,11 @@ TEST(Metrics, DeltaSubtractsCountersAndBuckets) {
   counter.reset();
   const metrics::Snapshot reset_snap = metrics::snapshot(false);
   const metrics::Snapshot clamped = reset_snap.delta(after);
-  for (const auto& c : clamped.counters)
-    if (c.name == "test.delta_counter") EXPECT_EQ(c.value, 0u);
+  for (const auto& c : clamped.counters) {
+    if (c.name == "test.delta_counter") {
+      EXPECT_EQ(c.value, 0u);
+    }
+  }
 }
 
 // Delta computation under concurrent writers must stay well-defined (and
@@ -615,9 +749,11 @@ TEST(Metrics, DeltaUnderConcurrentObserversIsConsistent) {
     if (c.name == "test.delta_concurrent") final_value = c.value;
   EXPECT_LE(total_delta, final_value);
   const metrics::Snapshot tail = last.delta(prev);
-  for (const auto& c : tail.counters)
-    if (c.name == "test.delta_concurrent")
+  for (const auto& c : tail.counters) {
+    if (c.name == "test.delta_concurrent") {
       EXPECT_EQ(total_delta + c.value, final_value);
+    }
+  }
 }
 
 TEST(Metrics, JsonDumpCarriesPercentilesForNonEmptyHistograms) {

@@ -116,7 +116,7 @@ TEST_P(RandomPrograms, AnalysesNeverCrashAndInvariantsHold) {
   const core::KeywordModel model;
   const core::Reconstructor reconstructor(model);
   for (const core::Mft& mft : builder.build_all()) {
-    EXPECT_LE(mft.node_count(), 600u);  // budget + small root slack
+    EXPECT_LE(mft.count().nodes, 600u);  // budget + small root slack
     std::set<int> ids;
     for (const core::MftNode* leaf : mft.leaves()) {
       EXPECT_TRUE(ids.insert(leaf->leaf_id).second);
@@ -170,7 +170,7 @@ TEST(Robustness, SelfReferentialAppendTerminates) {
   const analysis::CallGraph cg(prog);
   const auto mfts = core::MftBuilder(prog, cg).build_all();
   ASSERT_EQ(mfts.size(), 1u);
-  EXPECT_GE(mfts[0].leaf_count(), 1u);
+  EXPECT_GE(mfts[0].count().leaves, 1u);
 }
 
 TEST(Robustness, CorpusRunnerIsolatesThrowingDevices) {

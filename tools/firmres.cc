@@ -193,6 +193,23 @@ bool reject_unknown_flags(const char* cmd,
   return true;
 }
 
+/// Parse a whole token as an integer ≥ `min` (0 or 1). Anything else —
+/// "abc", "3x", a number out of range — is a ParseError naming `what`.
+int parse_int(const std::string& value, const std::string& what, int min) {
+  std::size_t consumed = 0;
+  int n = 0;
+  try {
+    n = std::stoi(value, &consumed);
+  } catch (const std::exception&) {
+    consumed = 0;
+  }
+  if (consumed != value.size() || n < min)
+    throw support::ParseError(
+        "invalid " + what + " value '" + value + "' (expected a " +
+        (min > 0 ? "positive" : "non-negative") + " integer)");
+  return n;
+}
+
 /// Consume a `--jobs N` pair from `args` (any position). Returns the thread
 /// count: 1 by default (sequential), 0 maps to the hardware concurrency.
 int take_jobs_flag(std::vector<std::string>& args) {
@@ -201,16 +218,7 @@ int take_jobs_flag(std::vector<std::string>& args) {
     if (args[i] != "--jobs") continue;
     if (i + 1 >= args.size())
       throw support::ParseError("--jobs requires a value (0 = all hardware threads)");
-    const std::string& value = args[i + 1];
-    std::size_t consumed = 0;
-    try {
-      jobs = std::stoi(value, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != value.size() || jobs < 0)
-      throw support::ParseError("invalid --jobs value '" + value +
-                                "' (expected a non-negative integer)");
+    jobs = parse_int(args[i + 1], "--jobs", 0);
     args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
     --i;  // repeated --jobs: keep scanning, last occurrence wins
@@ -380,15 +388,15 @@ class ObsWriter {
 /// --events-out determinism is untouched.
 void print_progress(int device_id, bool ok,
                     const core::PhaseTimings& timings) {
-  if (ok) {
-    std::fprintf(stderr,
-                 "device %d done (pinpoint %.3fs, fields %.3fs, semantics "
-                 "%.3fs, concat %.3fs, check %.3fs)\n",
-                 device_id, timings.pinpoint_s, timings.fields_s,
-                 timings.semantics_s, timings.concat_s, timings.check_s);
-  } else {
+  if (!ok) {
     std::fprintf(stderr, "device %d attempt failed\n", device_id);
+    return;
   }
+  std::string phases;
+  for (const core::Phase& phase : core::kPhases)
+    phases += support::format(", %s %.3fs", phase.name, timings.*phase.slot);
+  std::fprintf(stderr, "device %d done (%s)\n", device_id,
+               phases.c_str() + 2);
 }
 
 int cmd_corpus() {
@@ -405,7 +413,7 @@ int cmd_corpus() {
 int cmd_synth(std::vector<std::string> args) {
   int only_device = 0;
   if (const auto device = take_value_flag(args, "--device"))
-    only_device = std::atoi(device->c_str());
+    only_device = parse_int(*device, "--device", 1);
   const bool sdk = take_flag(args, "--sdk");
   const bool memory = take_flag(args, "--memory");
   const std::optional<std::string> registry_path =
@@ -903,7 +911,7 @@ int cmd_explain(std::vector<std::string> args) {
   options.field = take_value_flag(args, "--field").value_or("");
   if (!reject_unknown_flags("explain", args)) return kExitUnknownFlag;
   if (args.size() != 1 || !device.has_value()) return usage();
-  options.device_id = std::atoi(device->c_str());
+  options.device_id = parse_int(*device, "--device", 1);
 
   const std::optional<std::string> text = support::read_file(args[0]);
   if (!text.has_value()) {
@@ -919,9 +927,9 @@ int cmd_train(const std::vector<std::string>& args) {
   if (!reject_unknown_flags("train", args)) return kExitUnknownFlag;
   if (args.empty()) return usage();
   nlp::DatasetConfig dc;
-  if (args.size() > 1) dc.num_devices = std::atoi(args[1].c_str());
+  if (args.size() > 1) dc.num_devices = parse_int(args[1], "devices", 1);
   nlp::TrainConfig tc;
-  if (args.size() > 2) tc.epochs = std::atoi(args[2].c_str());
+  if (args.size() > 2) tc.epochs = parse_int(args[2], "epochs", 1);
   tc.verbose = true;
   support::set_log_level(support::LogLevel::Info);
   const nlp::Dataset dataset = nlp::build_dataset(dc);
